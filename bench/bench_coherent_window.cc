@@ -8,7 +8,7 @@
 //   * CohPtr<Record>: one 1 KiB hardware-coherent object (16 blocks).
 //     Reads touch all 16 blocks (port-cache hits while nobody writes);
 //     writes are an 8-byte Store that acquires a single block exclusively.
-//   * NodeReplicated<Counter, AddOp, CoherentPort>: per-host replicas with
+//   * NodeReplicated<Counter, AddOp>: per-host replicas with
 //     a shared op log in the window. Reads are local once synced; every
 //     write appends to the log (tail + entry block, both cross-fabric).
 //
@@ -131,7 +131,7 @@ Outcome RunReplicated(int hosts, double write_frac) {
   auto cluster = MakeCluster(hosts);
   UniFabricRuntime runtime(cluster.get(), MakeOptions());
   const std::uint64_t log_base = runtime.coherent_window()->Allocate(64 * 4096);
-  NodeReplicated<Counter, AddOp, CoherentPort> nr(
+  NodeReplicated<Counter, AddOp> nr(
       &cluster->engine(), log_base, 4095,
       [](Counter& c, const AddOp& op) { c.value += op.delta; });
   std::vector<int> reps;

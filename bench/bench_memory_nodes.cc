@@ -13,7 +13,7 @@
 #include "bench/bench_util.h"
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/mem/coma.h"
 #include "src/mem/expander.h"
 #include "src/mem/noncc.h"
@@ -47,28 +47,32 @@ void Row(const char* node, const char* op, double ns, const char* note) {
   }
 }
 
-// Shared fixture: two hosts + FAM directory node on one switch.
+// Shared fixture: two hosts + FAM directory node on one switch. The whole
+// node is one coherent window.
 struct CoherentRig {
   Engine engine;
   FabricInterconnect fabric{&engine, 21};
   std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<MemoryExpander> expander;
   std::unique_ptr<MessageDispatcher> fea_dispatch;
-  std::unique_ptr<DirectoryController> dir;
+  std::unique_ptr<CoherentDirectory> dir;
   std::unique_ptr<MessageDispatcher> host_dispatch[2];
-  std::unique_ptr<CcNumaPort> port[2];
+  std::unique_ptr<CoherentPort> port[2];
 
   CoherentRig() {
     auto* sw = fabric.AddSwitch(FabrexSwitch(), "sw");
     dram = std::make_unique<DramDevice>(&engine, OmegaLocalDram(), "fam");
+    expander = std::make_unique<MemoryExpander>(&engine, dram.get(), "exp");
+    expander->CreateCoherentWindow(dram->config().capacity_bytes);
     AdapterConfig fea_cfg = OmegaEndpointAdapter();
     fea_cfg.request_proc_latency = FromNs(50);
-    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", dram.get());
+    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", expander.get());
     fabric.Connect(sw, fea, OmegaLink());
     fea_dispatch = std::make_unique<MessageDispatcher>(fea);
 
-    CcNumaConfig cfg;
-    dir = std::make_unique<DirectoryController>(&engine, cfg, fea_dispatch.get(), dram.get(),
-                                                "dir");
+    const CoherentConfig cfg = CcNumaDirectory();
+    dir = std::make_unique<CoherentDirectory>(&engine, cfg, fea_dispatch.get(), expander.get(),
+                                              "dir");
     for (int i = 0; i < 2; ++i) {
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
@@ -76,8 +80,8 @@ struct CoherentRig {
       auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
       fabric.Connect(sw, adapter, OmegaLink());
       host_dispatch[i] = std::make_unique<MessageDispatcher>(adapter);
-      port[i] = std::make_unique<CcNumaPort>(&engine, cfg, host_dispatch[i].get(), dir.get(),
-                                             "p" + std::to_string(i));
+      port[i] = std::make_unique<CoherentPort>(&engine, cfg, host_dispatch[i].get(), dir.get(),
+                                               "p" + std::to_string(i));
     }
     fabric.ConfigureRouting();
   }
@@ -116,8 +120,8 @@ void CcNuma() {
   }
   {
     CoherentRig rig;
-    rig.port[0]->Read(0x2000, nullptr);
-    rig.port[1]->Read(0x2000, nullptr);
+    rig.port[0]->Read(0x2000);
+    rig.port[1]->Read(0x2000);
     rig.engine.Run();
     const double upgrade =
         Measure(rig.engine, [&](auto done) { rig.port[0]->Write(0x2000, done); });
@@ -125,7 +129,7 @@ void CcNuma() {
   }
   {
     CoherentRig rig;
-    rig.port[0]->Write(0x3000, nullptr);
+    rig.port[0]->Write(0x3000);
     rig.engine.Run();
     Summary pingpong;
     for (int round = 0; round < 6; ++round) {

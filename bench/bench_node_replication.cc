@@ -1,7 +1,8 @@
 // Extension ablation: node replication over a fabric-attached CC-NUMA node
 // (DP#2 names node replication as the technique that "would benefit
 // fabric-attached CC-NUMA memory nodes"; §5 promises data structures
-// specially optimized per node type). Compares a NodeReplicated structure
+// specially optimized per node type). The node is a coherent directory with
+// the CcNumaDirectory() preset. Compares a NodeReplicated structure
 // (per-host replicas + shared op log) against a centralized shared object
 // (16 coherence blocks scanned per read) across read/write mixes and host
 // counts.
@@ -16,6 +17,7 @@
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
 #include "src/mem/dram.h"
+#include "src/mem/expander.h"
 #include "src/sim/random.h"
 #include "src/topo/presets.h"
 
@@ -33,14 +35,16 @@ struct Rig {
   explicit Rig(int hosts) : fabric(&engine, 61) {
     auto* sw = fabric.AddSwitch(FabrexSwitch(), "sw");
     dram = std::make_unique<DramDevice>(&engine, OmegaLocalDram(), "fam");
+    expander = std::make_unique<MemoryExpander>(&engine, dram.get(), "exp");
+    expander->CreateCoherentWindow(dram->config().capacity_bytes);
     AdapterConfig fea_cfg = OmegaEndpointAdapter();
     fea_cfg.request_proc_latency = FromNs(50);
-    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", dram.get());
+    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", expander.get());
     fabric.Connect(sw, fea, OmegaLink());
     fea_dispatch = std::make_unique<MessageDispatcher>(fea);
-    CcNumaConfig cfg;
-    dir = std::make_unique<DirectoryController>(&engine, cfg, fea_dispatch.get(), dram.get(),
-                                                "dir");
+    const CoherentConfig cfg = CcNumaDirectory();
+    dir = std::make_unique<CoherentDirectory>(&engine, cfg, fea_dispatch.get(), expander.get(),
+                                              "dir");
     for (int i = 0; i < hosts; ++i) {
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
@@ -48,8 +52,8 @@ struct Rig {
       auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
       fabric.Connect(sw, adapter, OmegaLink());
       dispatch.push_back(std::make_unique<MessageDispatcher>(adapter));
-      ports.push_back(std::make_unique<CcNumaPort>(&engine, cfg, dispatch.back().get(),
-                                                   dir.get(), "p" + std::to_string(i)));
+      ports.push_back(std::make_unique<CoherentPort>(&engine, cfg, dispatch.back().get(),
+                                                     dir.get(), "p" + std::to_string(i)));
     }
     fabric.ConfigureRouting();
   }
@@ -57,10 +61,11 @@ struct Rig {
   Engine engine;
   FabricInterconnect fabric;
   std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<MemoryExpander> expander;
   std::unique_ptr<MessageDispatcher> fea_dispatch;
-  std::unique_ptr<DirectoryController> dir;
+  std::unique_ptr<CoherentDirectory> dir;
   std::vector<std::unique_ptr<MessageDispatcher>> dispatch;
-  std::vector<std::unique_ptr<CcNumaPort>> ports;
+  std::vector<std::unique_ptr<CoherentPort>> ports;
 };
 
 struct Result {

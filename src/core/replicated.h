@@ -18,11 +18,11 @@
 // Functional op payloads ride a host-side shadow (like UnifiedHeap's
 // shadow); all timing comes from the port accesses.
 //
-// The Port template parameter selects the coherence substrate: CcNumaPort
-// (default, the software-visible CC-NUMA directory) or CoherentPort (the
-// CXL.cache coherent window) — any type with Read/Write(addr, void-callback)
-// and HoldsBlock(addr) works. bench_coherent_window races the two backends
-// against CohPtr to locate the hardware-coherence crossover.
+// NodeReplicated and the CentralizedShared baseline below run on
+// CoherentPorts, whether the directory behind them is a CC-NUMA node
+// (CcNumaDirectory()) or the runtime's bounded coherent window.
+// bench_coherent_window races NodeReplicated against CohPtr on the latter
+// to locate the hardware-coherence crossover.
 
 #ifndef SRC_CORE_REPLICATED_H_
 #define SRC_CORE_REPLICATED_H_
@@ -34,7 +34,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/sim/engine.h"
 #include "src/sim/metrics.h"
 #include "src/sim/stats.h"
@@ -61,7 +61,7 @@ struct ReplicatedStats {
   }
 };
 
-template <typename State, typename Op, typename Port = CcNumaPort>
+template <typename State, typename Op>
 class NodeReplicated {
  public:
   using ApplyFn = std::function<void(State&, const Op&)>;
@@ -75,7 +75,7 @@ class NodeReplicated {
   }
 
   // Registers a host's coherent port; returns the replica index.
-  int AddReplica(Port* port, State initial = State{}) {
+  int AddReplica(CoherentPort* port, State initial = State{}) {
     replicas_.push_back(Replica{port, std::move(initial), 0, 0});
     return static_cast<int>(replicas_.size()) - 1;
   }
@@ -135,7 +135,7 @@ class NodeReplicated {
 
  private:
   struct Replica {
-    Port* port;
+    CoherentPort* port;
     State state;
     std::uint64_t synced;  // log entries applied to `state`
     // Independently maintained copy of the replay position. Replay checks
@@ -199,7 +199,7 @@ class NodeReplicated {
 // coherence blocks) and every write dirties its first block. This is what
 // node replication's operation log avoids: readers replay compact ops
 // instead of re-fetching invalidated state.
-template <typename State, typename Op, typename Port = CcNumaPort>
+template <typename State, typename Op>
 class CentralizedShared {
  public:
   using ApplyFn = std::function<void(State&, const Op&)>;
@@ -211,7 +211,7 @@ class CentralizedShared {
     stats_.BindTo(metrics_);
   }
 
-  int AddHost(Port* port) {
+  int AddHost(CoherentPort* port) {
     ports_.push_back(port);
     return static_cast<int>(ports_.size()) - 1;
   }
@@ -253,7 +253,7 @@ class CentralizedShared {
   std::uint64_t addr_;
   ApplyFn apply_;
   std::uint32_t state_blocks_;
-  std::vector<Port*> ports_;
+  std::vector<CoherentPort*> ports_;
   State state_{};
   ReplicatedStats stats_;
   MetricGroup metrics_;

@@ -6,6 +6,38 @@
 
 namespace unifab {
 
+const char* CohOpName(CohOp op) {
+  switch (op) {
+    case CohOp::kGetS:
+      return "GetS";
+    case CohOp::kGetM:
+      return "GetM";
+    case CohOp::kPutM:
+      return "PutM";
+    case CohOp::kPutS:
+      return "PutS";
+    case CohOp::kData:
+      return "Data";
+    case CohOp::kDataM:
+      return "DataM";
+    case CohOp::kInv:
+      return "Inv";
+    case CohOp::kInvAck:
+      return "InvAck";
+    case CohOp::kRecall:
+      return "Recall";
+    case CohOp::kRecallResp:
+      return "RecallResp";
+    case CohOp::kBackInval:
+      return "BackInval";
+    case CohOp::kBackInvalAck:
+      return "BackInvalAck";
+    case CohOp::kNack:
+      return "Nack";
+  }
+  return "?";
+}
+
 // --------------------------- stats bindings -------------------------------
 
 void CoherentDirStats::BindTo(MetricGroup& group, const std::string& prefix) const {
@@ -317,6 +349,34 @@ CoherentDirectory::CoherentDirectory(Engine* engine, const CoherentConfig& confi
     }
     return "";
   });
+  // Every line resident in a port cache must be visible to the directory as
+  // that port being the owner or a sharer of the block. The reverse is not
+  // an invariant (eviction notices are in flight), but a port holding a line
+  // the directory does not attribute to it is a coherence leak. Port caches
+  // live on the hosts' engine; when the directory runs on a different shard
+  // (sharded cluster runs) the cross-shard peek would race, so the check
+  // degrades to a no-op there — plain-engine rigs keep it armed.
+  audit_.AddCheck("sharers_conserved", [this]() -> std::string {
+    for (const CoherentPort* p : ports_) {
+      if (p->engine_ != engine_) {
+        return "";
+      }
+      for (std::uint64_t line : p->cache_.ValidLines()) {
+        auto it = blocks_.find(line);
+        const int h = p->host_index_;
+        const bool tracked =
+            it != blocks_.end() &&
+            (it->second.owner == h || std::find(it->second.sharers.begin(),
+                                                it->second.sharers.end(),
+                                                h) != it->second.sharers.end());
+        if (!tracked) {
+          return "port " + p->name_ + " holds block " + std::to_string(line) +
+                 " unknown to directory " + name_;
+        }
+      }
+    }
+    return "";
+  });
 }
 
 int CoherentDirectory::RegisterPort(CoherentPort* port) {
@@ -510,7 +570,8 @@ void CoherentDirectory::Process(const CohMsg& msg) {
 void CoherentDirectory::Admit(const CohMsg& msg) {
   auto it = blocks_.find(msg.block);
   if (it == blocks_.end()) {
-    if (blocks_.size() >= config_.max_tracked_blocks) {
+    // Slots reserved for released parked requests are not up for grabs.
+    if (blocks_.size() + filter_released_ >= config_.max_tracked_blocks) {
       ++stats_.filter_parked;
       filter_wait_.push_back(msg);
       StartFilterEviction();
@@ -573,10 +634,13 @@ void CoherentDirectory::ServeGetM(Entry& e, std::uint64_t block, const CohMsg& m
     case BlockState::kShared: {
       for (int s : e.sharers) {
         if (s != msg.requester) {
-          ++stats_.invalidations;
-          SendToPort(s, CohOp::kInv, block, /*with_data=*/false);
           e.inv_waiting.insert(s);
         }
+      }
+      // Fan out in host order, not in the order the sharers joined.
+      for (int s : e.inv_waiting) {
+        ++stats_.invalidations;
+        SendToPort(s, CohOp::kInv, block, /*with_data=*/false);
       }
       if (e.inv_waiting.empty()) {
         Grant(block, msg.requester, /*exclusive=*/true);
@@ -630,9 +694,13 @@ void CoherentDirectory::FinishTxn(Entry& e, std::uint64_t block) {
     const CohMsg next = e.pending.front();
     e.pending.pop_front();
     engine_->Schedule(config_.directory_latency, [this, next] { Process(next); });
-    return;
+  } else {
+    MaybeReclaim(block);
   }
-  MaybeReclaim(block);
+  // A finished transaction may have made an entry evictable, or released a
+  // parked request whose block was already tracked and so left its
+  // reserved slot unused.
+  PumpFilterWait();
 }
 
 void CoherentDirectory::MaybeReclaim(std::uint64_t block) {
@@ -641,8 +709,7 @@ void CoherentDirectory::MaybeReclaim(std::uint64_t block) {
     return;
   }
   const Entry& e = it->second;
-  // Unlike the CC-NUMA directory, idle-uncached entries are erased so the
-  // bounded filter reuses the slot.
+  // Idle-uncached entries are erased so the bounded filter reuses the slot.
   if (!e.busy && !e.evicting && e.pending.empty() && e.bi_waiting.empty() &&
       e.state == BlockState::kUncached && e.sharers.empty() && e.owner < 0) {
     blocks_.erase(it);
@@ -687,7 +754,7 @@ void CoherentDirectory::StartFilterEviction() {
     }
   }
   if (victim == blocks_.end()) {
-    return;  // everything in flight; retried when a transaction finishes
+    return;  // everything in flight; FinishTxn retries via PumpFilterWait
   }
   const std::uint64_t block = victim->first;
   Entry& e = victim->second;
@@ -735,10 +802,18 @@ void CoherentDirectory::FinishEviction(std::uint64_t block) {
 }
 
 void CoherentDirectory::PumpFilterWait() {
-  if (!filter_wait_.empty() && blocks_.size() < config_.max_tracked_blocks) {
+  // Release one parked request per free slot, counting the ones already on
+  // their way back to Admit. A released request whose block turns out to be
+  // tracked uses no slot; the next FinishTxn pumps again.
+  while (!filter_wait_.empty() &&
+         blocks_.size() + filter_released_ < config_.max_tracked_blocks) {
     const CohMsg next = filter_wait_.front();
     filter_wait_.pop_front();
-    engine_->Schedule(config_.directory_latency, [this, next] { Process(next); });
+    ++filter_released_;
+    engine_->Schedule(config_.directory_latency, [this, next] {
+      --filter_released_;
+      Process(next);
+    });
   }
   if (!filter_wait_.empty()) {
     StartFilterEviction();

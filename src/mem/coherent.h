@@ -1,13 +1,21 @@
-// CXL.cache-style coherent shared-memory window (paper DP#2, ROADMAP 3).
+// Hardware-coherent fabric memory: the CC-NUMA memory node (paper §3
+// Difference #2) and the CXL.cache-style coherent window (DP#2).
 //
-// A CoherentDirectory lives at a FAM chassis's memory expander and runs an
-// HDM-DB-style snoop filter: unlike the CC-NUMA DirectoryController's
-// unbounded BlockEntry map, tracking is bounded both per block (at most
-// `max_sharers` sharers, recall-on-overflow) and in total (at most
-// `max_tracked_blocks` filter entries, back-invalidation of the LRU victim
-// when the filter is full). The back-invalidation channel (CohOp::kBackInval
-// / kBackInvalAck, CXL BISnp/BIRsp) is the price of the bound: the device
-// can evict a filter entry only by first invalidating every cached copy.
+// A CoherentDirectory lives at a FAM chassis's memory expander and every
+// host owns a CoherentPort (a block cache in its FHA). The protocol is MSI
+// with a blocking home directory: the home serializes transactions per
+// block and requesters never talk to each other directly. All protocol
+// traffic travels as CXL.cache-channel messages over the simulated fabric,
+// so coherence costs are real fabric costs.
+//
+// The directory runs an HDM-DB-style snoop filter: tracking is bounded
+// both per block (at most `max_sharers` sharers, recall-on-overflow) and in
+// total (at most `max_tracked_blocks` filter entries, back-invalidation of
+// the LRU victim when the filter is full). The back-invalidation channel
+// (CohOp::kBackInval / kBackInvalAck, CXL BISnp/BIRsp) is the price of the
+// bound: the device can evict a filter entry only by first invalidating
+// every cached copy. A CC-NUMA node is the same directory with the bounds
+// lifted and the deadlines off (CcNumaDirectory() in src/topo/presets.h).
 //
 // Partial failure is first-class: every transaction carries a deadline on
 // both sides. The directory never grants on a timed-out handshake — it
@@ -16,10 +24,6 @@
 // and conservatively drops its local copy. A failed write is therefore
 // never observable: grants commit directory state before data moves, and
 // the host-side shadow is only updated on a successful completion.
-//
-// The wire vocabulary (CohOp/CohMsg) is shared with src/mem/ccnuma.h so
-// traces show one protocol language; the service id (kSvcCoherent) and the
-// state machines are this file's own.
 
 #ifndef SRC_MEM_COHERENT_H_
 #define SRC_MEM_COHERENT_H_
@@ -37,7 +41,6 @@
 
 #include "src/fabric/dispatch.h"
 #include "src/mem/cache.h"
-#include "src/mem/ccnuma.h"
 #include "src/mem/expander.h"
 #include "src/sim/audit.h"
 #include "src/sim/engine.h"
@@ -45,6 +48,33 @@
 #include "src/sim/stats.h"
 
 namespace unifab {
+
+enum class CohOp : std::uint8_t {
+  kGetS,          // port -> home: read miss
+  kGetM,          // port -> home: write miss or S->M upgrade
+  kPutM,          // port -> home: dirty eviction writeback
+  kPutS,          // port -> home: clean eviction notice
+  kData,          // home -> port: shared data grant
+  kDataM,         // home -> port: exclusive data grant
+  kInv,           // home -> port: invalidate your copy
+  kInvAck,        // port -> home
+  kRecall,        // home -> owner: give the block back (downgrade or invalidate)
+  kRecallResp,    // owner -> home
+  kBackInval,     // home -> port: snoop-filter capacity eviction (CXL BISnp)
+  kBackInvalAck,  // port -> home: BIRsp, carries writeback data when dirty
+  kNack,          // home -> port: transaction aborted terminally (fault path)
+};
+
+const char* CohOpName(CohOp op);
+
+struct CohMsg {
+  CohOp op = CohOp::kGetS;
+  std::uint64_t block = 0;
+  int requester = -1;      // host index at the directory
+  bool downgrade = false;  // kRecall: true = owner keeps an S copy
+  bool was_dirty = false;  // kRecallResp: owner had modified data
+  bool was_present = false;
+};
 
 struct CoherentConfig {
   std::uint32_t block_bytes = 64;
@@ -108,17 +138,18 @@ struct CoherentPortStats {
 
 class CoherentDirectory;
 
-// Host-side port into the coherent window. Completions carry an `ok` flag:
+// Host-side coherent port. Read/Write complete when the block is usable in
+// the required state in the port cache. Completions carry an `ok` flag:
 // false means the transaction failed terminally (directory Nack or port
 // deadline) and the local copy was conservatively dropped. The void
-// overloads exist for callers ported from CcNumaPort (NodeReplicated).
+// overloads serve callers that ignore `ok` (NodeReplicated).
 class CoherentPort {
  public:
   CoherentPort(Engine* engine, const CoherentConfig& config, MessageDispatcher* dispatcher,
                CoherentDirectory* home, std::string name);
 
-  void Read(std::uint64_t addr, std::function<void(bool ok)> done);
-  void Write(std::uint64_t addr, std::function<void(bool ok)> done);
+  void Read(std::uint64_t addr, std::function<void(bool ok)> done = nullptr);
+  void Write(std::uint64_t addr, std::function<void(bool ok)> done = nullptr);
   void Read(std::uint64_t addr, std::function<void()> done) {
     Read(addr, [done = std::move(done)](bool) {
       if (done) {
@@ -248,6 +279,7 @@ class CoherentDirectory {
   std::vector<CoherentPort*> ports_;
   std::map<std::uint64_t, Entry> blocks_;  // ordered: deterministic victim scan
   std::deque<CohMsg> filter_wait_;         // requests parked for a filter slot
+  std::size_t filter_released_ = 0;        // parked requests on their way back to Admit
   bool evict_in_progress_ = false;
   std::uint64_t lru_clock_ = 0;
   CoherentDirStats stats_;

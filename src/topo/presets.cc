@@ -1,5 +1,7 @@
 #include "src/topo/presets.h"
 
+#include <limits>
+
 namespace unifab {
 
 HierarchyConfig OmegaHostHierarchy() {
@@ -69,6 +71,16 @@ SwitchConfig FabrexSwitch() {
 //   13.6 (L1+L2 probes) + 400 (FHA req) + 4 x (1.06 + 50) (two links, both
 //   directions) + 2 x 90 (switch) + 350 (FEA) + 60 + 2.5 (rDIMM) + 365
 //   (FHA resp) ~ 1575 ns.
+
+CoherentConfig CcNumaDirectory() {
+  CoherentConfig cfg;
+  cfg.port_cache = CacheConfig{256 * 1024, 64, 8};
+  cfg.max_tracked_blocks = std::numeric_limits<std::uint32_t>::max();
+  cfg.max_sharers = std::numeric_limits<std::uint32_t>::max();
+  cfg.ack_deadline = 0;
+  cfg.txn_deadline = 0;
+  return cfg;
+}
 
 HostConfig OmegaHost() {
   HostConfig cfg;

@@ -10,6 +10,7 @@
 
 #include "src/fabric/link.h"
 #include "src/fabric/switch.h"
+#include "src/mem/coherent.h"
 #include "src/mem/dram.h"
 #include "src/mem/hierarchy.h"
 #include "src/topo/chassis.h"
@@ -35,6 +36,11 @@ LinkConfig OmegaLink();
 
 // FabreX-like switch: <100 ns per-port latency.
 SwitchConfig FabrexSwitch();
+
+// Fabric-attached CC-NUMA memory node (§3 Difference #2): the coherent
+// directory with a 256 KiB / 8-way port cache, an unbounded full-map
+// filter and no deadlines.
+CoherentConfig CcNumaDirectory();
 
 // Bundles.
 HostConfig OmegaHost();

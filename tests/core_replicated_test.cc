@@ -1,5 +1,5 @@
-// Node-replication data structure tests over the CC-NUMA coherence
-// substrate.
+// Node-replication data structure tests over a CC-NUMA node (the coherent
+// directory with the CcNumaDirectory() preset).
 
 #include "src/core/replicated.h"
 
@@ -11,6 +11,7 @@
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
 #include "src/mem/dram.h"
+#include "src/mem/expander.h"
 #include "src/sim/random.h"
 #include "src/topo/presets.h"
 
@@ -30,14 +31,16 @@ struct Rig {
   Rig() : fabric(&engine, 41) {
     auto* sw = fabric.AddSwitch(FabrexSwitch(), "sw");
     dram = std::make_unique<DramDevice>(&engine, OmegaLocalDram(), "fam");
+    expander = std::make_unique<MemoryExpander>(&engine, dram.get(), "exp");
+    expander->CreateCoherentWindow(dram->config().capacity_bytes);
     AdapterConfig fea_cfg = OmegaEndpointAdapter();
     fea_cfg.request_proc_latency = FromNs(50);
-    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", dram.get());
+    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", expander.get());
     fabric.Connect(sw, fea, OmegaLink());
     fea_dispatch = std::make_unique<MessageDispatcher>(fea);
-    CcNumaConfig cfg;
-    dir = std::make_unique<DirectoryController>(&engine, cfg, fea_dispatch.get(), dram.get(),
-                                                "dir");
+    const CoherentConfig cfg = CcNumaDirectory();
+    dir = std::make_unique<CoherentDirectory>(&engine, cfg, fea_dispatch.get(), expander.get(),
+                                              "dir");
     for (int i = 0; i < 3; ++i) {
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
@@ -45,8 +48,8 @@ struct Rig {
       auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
       fabric.Connect(sw, adapter, OmegaLink());
       dispatch[i] = std::make_unique<MessageDispatcher>(adapter);
-      port[i] = std::make_unique<CcNumaPort>(&engine, cfg, dispatch[i].get(), dir.get(),
-                                             "p" + std::to_string(i));
+      port[i] = std::make_unique<CoherentPort>(&engine, cfg, dispatch[i].get(), dir.get(),
+                                               "p" + std::to_string(i));
     }
     fabric.ConfigureRouting();
   }
@@ -54,10 +57,11 @@ struct Rig {
   Engine engine;
   FabricInterconnect fabric;
   std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<MemoryExpander> expander;
   std::unique_ptr<MessageDispatcher> fea_dispatch;
-  std::unique_ptr<DirectoryController> dir;
+  std::unique_ptr<CoherentDirectory> dir;
   std::unique_ptr<MessageDispatcher> dispatch[3];
-  std::unique_ptr<CcNumaPort> port[3];
+  std::unique_ptr<CoherentPort> port[3];
 };
 
 NodeReplicated<Counter, AddOp>::ApplyFn Apply() {

@@ -172,15 +172,19 @@ TEST(AdapterTest, TagHelpersRoundTrip) {
 
 // Property sweep: for every flit mode and request size, the number of DRAM
 // bytes touched equals the request size and everything completes.
+// gtest names each case after the raw bytes of its parameter, so every byte is
+// a member: padding after `mode` would put stack garbage into the test names.
 struct ModeSize {
   FlitMode mode;
+  std::uint8_t zero[3] = {};
   std::uint32_t bytes;
 };
 
 class AdapterModeTest : public ::testing::TestWithParam<ModeSize> {};
 
 TEST_P(AdapterModeTest, RequestsCompleteAcrossModesAndSizes) {
-  const auto [mode, bytes] = GetParam();
+  const FlitMode mode = GetParam().mode;
+  const std::uint32_t bytes = GetParam().bytes;
   Rig rig(1, mode);
   bool read_done = false;
   bool write_done = false;
@@ -201,10 +205,13 @@ TEST_P(AdapterModeTest, RequestsCompleteAcrossModesAndSizes) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModesAndSizes, AdapterModeTest,
-    ::testing::Values(ModeSize{FlitMode::k68B, 64}, ModeSize{FlitMode::k68B, 100},
-                      ModeSize{FlitMode::k68B, 4096}, ModeSize{FlitMode::k256B, 64},
-                      ModeSize{FlitMode::k256B, 192}, ModeSize{FlitMode::k256B, 4096},
-                      ModeSize{FlitMode::k256B, 16384}));
+    ::testing::Values(ModeSize{.mode = FlitMode::k68B, .bytes = 64},
+                      ModeSize{.mode = FlitMode::k68B, .bytes = 100},
+                      ModeSize{.mode = FlitMode::k68B, .bytes = 4096},
+                      ModeSize{.mode = FlitMode::k256B, .bytes = 64},
+                      ModeSize{.mode = FlitMode::k256B, .bytes = 192},
+                      ModeSize{.mode = FlitMode::k256B, .bytes = 4096},
+                      ModeSize{.mode = FlitMode::k256B, .bytes = 16384}));
 
 TEST(AdapterTest, Wide256BModeUsesFewerFlits) {
   LinkConfig link68;

@@ -110,7 +110,7 @@ TEST(CoherentWindowTest, WriteInvalidatesAllSharers) {
   Rig rig;
   const std::uint64_t addr = rig.window->Allocate(64);
   for (int i = 0; i < 2; ++i) {
-    rig.port[i]->Read(addr, std::function<void(bool)>());
+    rig.port[i]->Read(addr);
     rig.engine.Run();
   }
   EXPECT_EQ(rig.dir->SharerCount(addr), 2u);
@@ -131,7 +131,7 @@ TEST(CoherentWindowTest, WriteInvalidatesAllSharers) {
 TEST(CoherentWindowTest, ReadOfModifiedRecallsAndDowngradesOwner) {
   Rig rig;
   const std::uint64_t addr = rig.window->Allocate(64);
-  rig.port[0]->Write(addr, std::function<void(bool)>());
+  rig.port[0]->Write(addr);
   rig.engine.Run();
   EXPECT_EQ(rig.dir->OwnerOf(addr), 0);
 
@@ -226,7 +226,7 @@ TEST(CoherentWindowTest, DirectoryDeadlineNacksRequesterTerminally) {
   cfg.ack_deadline = FromUs(5.0);
   Rig rig(cfg);
   const std::uint64_t addr = rig.window->Allocate(64);
-  rig.port[0]->Write(addr, std::function<void(bool)>());
+  rig.port[0]->Write(addr);
   rig.engine.Run();
   EXPECT_TRUE(rig.port[0]->HoldsModified(addr));
 
@@ -275,7 +275,7 @@ TEST(CoherentWindowTest, PortDeadlineFailsWaitersWhenFabricIsDead) {
 TEST(CoherentWindowTest, SpoofedInvAckIsCountedStaleAndIgnored) {
   Rig rig;
   const std::uint64_t addr = rig.window->Allocate(64);
-  rig.port[0]->Read(addr, std::function<void(bool)>());
+  rig.port[0]->Read(addr);
   rig.engine.Run();
 
   // A rogue ack from a port the directory is not waiting on must not corrupt
@@ -297,7 +297,7 @@ TEST(CoherentWindowTest, SpoofedInvAckIsCountedStaleAndIgnored) {
 
 TEST(CoherentWindowTest, AuditCatchesSeededBackInvalAckLeak) {
   Rig rig;
-  rig.port[0]->Read(rig.window->Allocate(64), std::function<void(bool)>());
+  rig.port[0]->Read(rig.window->Allocate(64));
   rig.engine.Run();
   EXPECT_TRUE(rig.engine.audit().Sweep().empty());
 
@@ -313,8 +313,8 @@ TEST(CoherentWindowTest, AuditCatchesSeededFilterOverflow) {
   CoherentConfig cfg;
   cfg.max_tracked_blocks = 2;
   Rig rig(cfg);
-  rig.port[0]->Read(rig.window->Allocate(64), std::function<void(bool)>());
-  rig.port[0]->Read(rig.window->Allocate(64), std::function<void(bool)>());
+  rig.port[0]->Read(rig.window->Allocate(64));
+  rig.port[0]->Read(rig.window->Allocate(64));
   rig.engine.Run();
   EXPECT_TRUE(rig.engine.audit().Sweep().empty());
 
@@ -434,7 +434,7 @@ struct AddOp {
 TEST(CoherentReplicatedTest, NodeReplicatedConvergesOverCoherentPorts) {
   Rig rig;
   const std::uint64_t log_base = rig.window->Allocate(64 * 64);
-  NodeReplicated<Counter, AddOp, CoherentPort> nr(
+  NodeReplicated<Counter, AddOp> nr(
       &rig.engine, log_base, 63, [](Counter& c, const AddOp& op) { c.value += op.delta; });
   int reps[3];
   for (int i = 0; i < 3; ++i) {

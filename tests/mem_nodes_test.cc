@@ -1,5 +1,6 @@
 // Tests for the four fabric memory-node types (paper §3 Difference #2):
-// CPU-less NUMA expander, CC-NUMA directory coherence, non-CC NUMA software
+// CPU-less NUMA expander, CC-NUMA directory coherence (the coherent
+// directory with the CcNumaDirectory() preset), non-CC NUMA software
 // coherence, and COMA attraction memory.
 
 #include <gtest/gtest.h>
@@ -8,7 +9,7 @@
 
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/mem/coma.h"
 #include "src/mem/dram.h"
 #include "src/mem/expander.h"
@@ -19,10 +20,10 @@ namespace unifab {
 
 // Test-only hook (same pattern as fabric_switch_mem_test.cc): reaches into a
 // port's block cache to model a silent eviction and to seed a deliberate
-// violation of the mem/ccnuma/sharers_conserved audit check.
+// violation of the mem/coherent/sharers_conserved audit check.
 class AuditTestPeer {
  public:
-  static SetAssocCache& PortCache(CcNumaPort& p) { return p.cache_; }
+  static SetAssocCache& PortCache(CoherentPort& p) { return p.cache_; }
 };
 
 namespace {
@@ -111,16 +112,18 @@ class CcNumaTest : public ::testing::Test {
   CcNumaTest() : fabric_(&engine_, 5) {
     auto* sw = fabric_.AddSwitch(FabrexSwitch(), "sw");
     dram_ = std::make_unique<DramDevice>(&engine_, OmegaLocalDram(), "fam-dram");
+    expander_ = std::make_unique<MemoryExpander>(&engine_, dram_.get(), "exp");
+    expander_->CreateCoherentWindow(dram_->config().capacity_bytes);
 
     AdapterConfig fast_fea = OmegaEndpointAdapter();
     fast_fea.request_proc_latency = FromNs(50);
-    fea_ = fabric_.AddEndpointAdapter(fast_fea, "fea", dram_.get());
+    fea_ = fabric_.AddEndpointAdapter(fast_fea, "fea", expander_.get());
     fabric_.Connect(sw, fea_, OmegaLink());
     fea_dispatch_ = std::make_unique<MessageDispatcher>(fea_);
 
-    CcNumaConfig cfg;
-    dir_ = std::make_unique<DirectoryController>(&engine_, cfg, fea_dispatch_.get(), dram_.get(),
-                                                 "dir");
+    const CoherentConfig cfg = CcNumaDirectory();
+    dir_ = std::make_unique<CoherentDirectory>(&engine_, cfg, fea_dispatch_.get(),
+                                               expander_.get(), "dir");
     for (int i = 0; i < 2; ++i) {
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
@@ -128,8 +131,8 @@ class CcNumaTest : public ::testing::Test {
       auto* adapter = fabric_.AddHostAdapter(fha, "h" + std::to_string(i));
       fabric_.Connect(sw, adapter, OmegaLink());
       host_dispatch_[i] = std::make_unique<MessageDispatcher>(adapter);
-      port_[i] = std::make_unique<CcNumaPort>(&engine_, cfg, host_dispatch_[i].get(),
-                                              dir_.get(), "port" + std::to_string(i));
+      port_[i] = std::make_unique<CoherentPort>(&engine_, cfg, host_dispatch_[i].get(),
+                                                dir_.get(), "port" + std::to_string(i));
     }
     fabric_.ConfigureRouting();
   }
@@ -137,11 +140,12 @@ class CcNumaTest : public ::testing::Test {
   Engine engine_;
   FabricInterconnect fabric_;
   std::unique_ptr<DramDevice> dram_;
+  std::unique_ptr<MemoryExpander> expander_;
   EndpointAdapter* fea_ = nullptr;
   std::unique_ptr<MessageDispatcher> fea_dispatch_;
-  std::unique_ptr<DirectoryController> dir_;
+  std::unique_ptr<CoherentDirectory> dir_;
   std::unique_ptr<MessageDispatcher> host_dispatch_[2];
-  std::unique_ptr<CcNumaPort> port_[2];
+  std::unique_ptr<CoherentPort> port_[2];
 };
 
 TEST_F(CcNumaTest, ReadMissFetchesAndShares) {
@@ -151,21 +155,21 @@ TEST_F(CcNumaTest, ReadMissFetchesAndShares) {
   EXPECT_TRUE(done);
   EXPECT_TRUE(port_[0]->HoldsBlock(0x1000));
   EXPECT_FALSE(port_[0]->HoldsModified(0x1000));
-  EXPECT_EQ(dir_->StateOf(0x1000), DirectoryController::BlockState::kShared);
+  EXPECT_EQ(dir_->StateOf(0x1000), CoherentDirectory::BlockState::kShared);
   EXPECT_EQ(dir_->SharerCount(0x1000), 1u);
 }
 
 TEST_F(CcNumaTest, SecondReaderJoinsSharerList) {
-  port_[0]->Read(0x1000, nullptr);
+  port_[0]->Read(0x1000);
   engine_.Run();
-  port_[1]->Read(0x1000, nullptr);
+  port_[1]->Read(0x1000);
   engine_.Run();
   EXPECT_EQ(dir_->SharerCount(0x1000), 2u);
 }
 
 TEST_F(CcNumaTest, WriteInvalidatesOtherSharers) {
-  port_[0]->Read(0x1000, nullptr);
-  port_[1]->Read(0x1000, nullptr);
+  port_[0]->Read(0x1000);
+  port_[1]->Read(0x1000);
   engine_.Run();
   ASSERT_EQ(dir_->SharerCount(0x1000), 2u);
 
@@ -173,39 +177,39 @@ TEST_F(CcNumaTest, WriteInvalidatesOtherSharers) {
   port_[1]->Write(0x1000, [&] { done = true; });
   engine_.Run();
   EXPECT_TRUE(done);
-  EXPECT_EQ(dir_->StateOf(0x1000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x1000), CoherentDirectory::BlockState::kModified);
   EXPECT_FALSE(port_[0]->HoldsBlock(0x1000));
   EXPECT_TRUE(port_[1]->HoldsModified(0x1000));
   EXPECT_GE(port_[0]->stats().invalidations_received, 1u);
 }
 
 TEST_F(CcNumaTest, ReadAfterRemoteWriteRecallsOwner) {
-  port_[0]->Write(0x2000, nullptr);
+  port_[0]->Write(0x2000);
   engine_.Run();
-  ASSERT_EQ(dir_->StateOf(0x2000), DirectoryController::BlockState::kModified);
+  ASSERT_EQ(dir_->StateOf(0x2000), CoherentDirectory::BlockState::kModified);
 
   bool done = false;
   port_[1]->Read(0x2000, [&] { done = true; });
   engine_.Run();
   EXPECT_TRUE(done);
   // Owner downgraded to sharer; both hold the block.
-  EXPECT_EQ(dir_->StateOf(0x2000), DirectoryController::BlockState::kShared);
+  EXPECT_EQ(dir_->StateOf(0x2000), CoherentDirectory::BlockState::kShared);
   EXPECT_EQ(dir_->SharerCount(0x2000), 2u);
   EXPECT_GE(port_[0]->stats().recalls_received, 1u);
   EXPECT_FALSE(port_[0]->HoldsModified(0x2000));
 }
 
 TEST_F(CcNumaTest, UpgradeFromSharedToModified) {
-  port_[0]->Read(0x3000, nullptr);
+  port_[0]->Read(0x3000);
   engine_.Run();
-  port_[0]->Write(0x3000, nullptr);
+  port_[0]->Write(0x3000);
   engine_.Run();
-  EXPECT_EQ(dir_->StateOf(0x3000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x3000), CoherentDirectory::BlockState::kModified);
   EXPECT_GE(port_[0]->stats().upgrades, 1u);
 }
 
 TEST_F(CcNumaTest, WriteHitInModifiedIsLocal) {
-  port_[0]->Write(0x4000, nullptr);
+  port_[0]->Write(0x4000);
   engine_.Run();
   const auto misses_before = port_[0]->stats().miss_latency_ns.Count();
   bool done = false;
@@ -217,7 +221,7 @@ TEST_F(CcNumaTest, WriteHitInModifiedIsLocal) {
 }
 
 TEST_F(CcNumaTest, CoherenceMissesCostFabricRoundTrips) {
-  port_[0]->Read(0x5000, nullptr);
+  port_[0]->Read(0x5000);
   engine_.Run();
   // A protocol miss costs two message legs + DRAM: far above local hit cost.
   EXPECT_GT(port_[0]->stats().miss_latency_ns.Mean(), 400.0);
@@ -225,11 +229,11 @@ TEST_F(CcNumaTest, CoherenceMissesCostFabricRoundTrips) {
 
 TEST_F(CcNumaTest, PingPongWritesAlternateOwnership) {
   for (int round = 0; round < 4; ++round) {
-    port_[round % 2]->Write(0x6000, nullptr);
+    port_[round % 2]->Write(0x6000);
     engine_.Run();
   }
   EXPECT_GE(dir_->stats().recalls, 3u);
-  EXPECT_EQ(dir_->StateOf(0x6000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x6000), CoherentDirectory::BlockState::kModified);
   EXPECT_TRUE(port_[1]->HoldsModified(0x6000));
 }
 
@@ -239,9 +243,9 @@ TEST_F(CcNumaTest, PingPongWritesAlternateOwnership) {
 // later InvAck double-decremented and a concurrent writer could be granted
 // while another sharer still held the line.
 TEST_F(CcNumaTest, EvictionNoticeCrossingInvCompletesTheWrite) {
-  port_[0]->Read(0x5000, nullptr);
+  port_[0]->Read(0x5000);
   engine_.Run();
-  ASSERT_EQ(dir_->StateOf(0x5000), DirectoryController::BlockState::kShared);
+  ASSERT_EQ(dir_->StateOf(0x5000), CoherentDirectory::BlockState::kShared);
 
   bool wrote = false;
   port_[1]->Write(0x5000, [&] { wrote = true; });
@@ -261,7 +265,7 @@ TEST_F(CcNumaTest, EvictionNoticeCrossingInvCompletesTheWrite) {
   puts->op = CohOp::kPutS;
   puts->block = 0x5000;
   puts->requester = 0;
-  host_dispatch_[0]->Send(dir_->fabric_id(), kSvcCcNuma,
+  host_dispatch_[0]->Send(dir_->fabric_id(), kSvcCoherent,
                           static_cast<std::uint64_t>(CohOp::kPutS), 16, puts, Channel::kCache);
   engine_.Run();
 
@@ -271,7 +275,7 @@ TEST_F(CcNumaTest, EvictionNoticeCrossingInvCompletesTheWrite) {
   // must discard that ack instead of mis-crediting it.
   EXPECT_EQ(port_[0]->stats().invalidations_received, 1u);
   EXPECT_EQ(dir_->stats().stale_acks, 1u);
-  EXPECT_EQ(dir_->StateOf(0x5000), DirectoryController::BlockState::kModified);
+  EXPECT_EQ(dir_->StateOf(0x5000), CoherentDirectory::BlockState::kModified);
   EXPECT_TRUE(port_[1]->HoldsModified(0x5000));
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 }
@@ -280,7 +284,7 @@ TEST_F(CcNumaTest, EvictionNoticeCrossingInvCompletesTheWrite) {
 // here; previously reachable via the eviction race above) must not perturb
 // sharer bookkeeping or unblock a transaction early.
 TEST_F(CcNumaTest, InvAckFromNonWaiterIsCountedStaleAndIgnored) {
-  port_[0]->Read(0x5000, nullptr);
+  port_[0]->Read(0x5000);
   engine_.Run();
   ASSERT_EQ(dir_->SharerCount(0x5000), 1u);
 
@@ -288,13 +292,13 @@ TEST_F(CcNumaTest, InvAckFromNonWaiterIsCountedStaleAndIgnored) {
   spoof->op = CohOp::kInvAck;
   spoof->block = 0x5000;
   spoof->requester = 1;
-  host_dispatch_[1]->Send(dir_->fabric_id(), kSvcCcNuma,
+  host_dispatch_[1]->Send(dir_->fabric_id(), kSvcCoherent,
                           static_cast<std::uint64_t>(CohOp::kInvAck), 16, spoof,
                           Channel::kCache);
   engine_.Run();
   EXPECT_EQ(dir_->stats().stale_acks, 1u);
   EXPECT_EQ(dir_->SharerCount(0x5000), 1u);
-  EXPECT_EQ(dir_->StateOf(0x5000), DirectoryController::BlockState::kShared);
+  EXPECT_EQ(dir_->StateOf(0x5000), CoherentDirectory::BlockState::kShared);
 
   // The protocol still works afterwards.
   bool wrote = false;
@@ -305,15 +309,15 @@ TEST_F(CcNumaTest, InvAckFromNonWaiterIsCountedStaleAndIgnored) {
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 }
 
-// The new mem/ccnuma/sharers_conserved check: every valid line in a port
+// The mem/coherent/sharers_conserved check: every valid line in a port
 // cache must be tracked by the home directory.
 TEST_F(CcNumaTest, AuditCatchesUntrackedPortLine) {
-  port_[0]->Read(0x5000, nullptr);
+  port_[0]->Read(0x5000);
   engine_.Run();
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 
   AuditTestPeer::PortCache(*port_[0]).Insert(0x7000, /*dirty=*/false);
-  EXPECT_TRUE(AnyPathEndsWith(engine_.audit().Sweep(), "mem/ccnuma/sharers_conserved"));
+  EXPECT_TRUE(AnyPathEndsWith(engine_.audit().Sweep(), "mem/coherent/sharers_conserved"));
   AuditTestPeer::PortCache(*port_[0]).Invalidate(0x7000);
   EXPECT_TRUE(engine_.audit().Sweep().empty());
 }

@@ -14,9 +14,10 @@
 #include "src/core/runtime.h"
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
-#include "src/mem/ccnuma.h"
+#include "src/mem/coherent.h"
 #include "src/mem/coma.h"
 #include "src/mem/dram.h"
+#include "src/mem/expander.h"
 #include "src/sim/random.h"
 #include "src/sim/sharded_engine.h"
 #include "src/topo/faults.h"
@@ -25,21 +26,21 @@
 namespace unifab {
 namespace {
 
-// ----------------------- CC-NUMA protocol fuzz ---------------------------
+// ---------------------- coherence protocol fuzz --------------------------
 
 struct CohRig {
-  explicit CohRig(int hosts) : fabric(&engine, 71) {
+  CohRig(int hosts, const CoherentConfig& cfg) : fabric(&engine, 71) {
     auto* sw = fabric.AddSwitch(FabrexSwitch(), "sw");
     dram = std::make_unique<DramDevice>(&engine, OmegaLocalDram(), "fam");
+    expander = std::make_unique<MemoryExpander>(&engine, dram.get(), "exp");
+    expander->CreateCoherentWindow(dram->config().capacity_bytes);
     AdapterConfig fea_cfg = OmegaEndpointAdapter();
     fea_cfg.request_proc_latency = FromNs(50);
-    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", dram.get());
+    auto* fea = fabric.AddEndpointAdapter(fea_cfg, "fea", expander.get());
     fabric.Connect(sw, fea, OmegaLink());
     fea_dispatch = std::make_unique<MessageDispatcher>(fea);
-    CcNumaConfig cfg;
-    cfg.port_cache = CacheConfig{4096, 64, 2};  // tiny: lots of evictions
-    dir = std::make_unique<DirectoryController>(&engine, cfg, fea_dispatch.get(), dram.get(),
-                                                "dir");
+    dir = std::make_unique<CoherentDirectory>(&engine, cfg, fea_dispatch.get(), expander.get(),
+                                              "dir");
     for (int i = 0; i < hosts; ++i) {
       AdapterConfig fha = OmegaHostAdapter();
       fha.request_proc_latency = FromNs(50);
@@ -47,8 +48,8 @@ struct CohRig {
       auto* adapter = fabric.AddHostAdapter(fha, "h" + std::to_string(i));
       fabric.Connect(sw, adapter, OmegaLink());
       dispatch.push_back(std::make_unique<MessageDispatcher>(adapter));
-      ports.push_back(std::make_unique<CcNumaPort>(&engine, cfg, dispatch.back().get(),
-                                                   dir.get(), "p" + std::to_string(i)));
+      ports.push_back(std::make_unique<CoherentPort>(&engine, cfg, dispatch.back().get(),
+                                                     dir.get(), "p" + std::to_string(i)));
     }
     fabric.ConfigureRouting();
   }
@@ -56,22 +57,61 @@ struct CohRig {
   Engine engine;
   FabricInterconnect fabric;
   std::unique_ptr<DramDevice> dram;
+  std::unique_ptr<MemoryExpander> expander;
   std::unique_ptr<MessageDispatcher> fea_dispatch;
-  std::unique_ptr<DirectoryController> dir;
+  std::unique_ptr<CoherentDirectory> dir;
   std::vector<std::unique_ptr<MessageDispatcher>> dispatch;
-  std::vector<std::unique_ptr<CcNumaPort>> ports;
+  std::vector<std::unique_ptr<CoherentPort>> ports;
 };
 
-class CcNumaFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+// One fuzz input: a directory configuration and an op-stream seed.
+struct CohFuzzCase {
+  CoherentConfig config;
+  std::uint64_t seed;
+};
+
+// ctest names each case after its printed parameter. Printing the seed alone
+// keeps the names `<instantiation>/CcNumaFuzzTest.<test>/<seed>`; the
+// instantiation prefix names the config.
+void PrintTo(const CohFuzzCase& c, std::ostream* os) { *os << c.seed; }
+
+std::vector<CohFuzzCase> CohFuzzCases(const CoherentConfig& config) {
+  std::vector<CohFuzzCase> cases;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u}) {
+    cases.push_back({config, seed});
+  }
+  return cases;
+}
+
+// The CC-NUMA node with a tiny port cache: lots of evictions.
+CoherentConfig CcNumaFuzzConfig() {
+  CoherentConfig cfg = CcNumaDirectory();
+  cfg.port_cache = CacheConfig{4096, 64, 2};
+  return cfg;
+}
+
+// The same stream against a snoop filter a third the size of the working
+// set, with two sharers per block and the default deadlines armed: filter
+// evictions, parked requests and sharer recalls on every seed.
+CoherentConfig BoundedFuzzConfig() {
+  CoherentConfig cfg;
+  cfg.port_cache = CacheConfig{4096, 64, 2};
+  cfg.max_tracked_blocks = 8;
+  cfg.max_sharers = 2;
+  return cfg;
+}
+
+class CcNumaFuzzTest : public ::testing::TestWithParam<CohFuzzCase> {};
 
 TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
-  const std::uint64_t seed = GetParam();
+  const std::uint64_t seed = GetParam().seed;
   SCOPED_TRACE("seed=" + std::to_string(seed));
-  CohRig rig(3);
+  CohRig rig(3, GetParam().config);
   Rng rng(seed);
 
   constexpr int kBlocks = 24;
   int completions = 0;
+  int failures = 0;
   constexpr int kOps = 400;
   for (int i = 0; i < kOps; ++i) {
     const int host = static_cast<int>(rng.NextBelow(3));
@@ -79,15 +119,21 @@ TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
     const bool write = rng.NextBool(0.4);
     // Random submission times interleave transactions heavily.
     rig.engine.Schedule(FromNs(100) * rng.NextBelow(400), [&, host, block, write] {
+      auto done = [&](bool ok) { ++(ok ? completions : failures); };
       if (write) {
-        rig.ports[static_cast<std::size_t>(host)]->Write(block, [&] { ++completions; });
+        rig.ports[static_cast<std::size_t>(host)]->Write(block, done);
       } else {
-        rig.ports[static_cast<std::size_t>(host)]->Read(block, [&] { ++completions; });
+        rig.ports[static_cast<std::size_t>(host)]->Read(block, done);
       }
     });
   }
   rig.engine.Run();
-  EXPECT_EQ(completions, kOps);  // nothing wedged
+  // Nothing wedged: on a healthy fabric every op succeeds, no request is
+  // left parked for a filter slot, and every audit check holds.
+  EXPECT_EQ(completions, kOps);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(rig.dir->ParkedRequests(), 0u);
+  EXPECT_TRUE(rig.engine.audit().Sweep().empty());
 
   // Invariants at quiescence, for every block:
   for (int b = 0; b < kBlocks; ++b) {
@@ -104,12 +150,12 @@ TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
     }
     const auto state = rig.dir->StateOf(block);
     switch (state) {
-      case DirectoryController::BlockState::kModified:
+      case CoherentDirectory::BlockState::kModified:
         // Exactly one M copy exists, and no S copies next to it.
         EXPECT_EQ(modified_holders, 1) << "block " << b;
         EXPECT_EQ(holders, 1) << "block " << b;
         break;
-      case DirectoryController::BlockState::kShared:
+      case CoherentDirectory::BlockState::kShared:
         EXPECT_EQ(modified_holders, 0) << "block " << b;
         EXPECT_GE(holders, 1) << "block " << b;
         // The directory may conservatively remember more sharers than
@@ -118,7 +164,7 @@ TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
         EXPECT_GE(rig.dir->SharerCount(block), static_cast<std::size_t>(holders))
             << "block " << b;
         break;
-      case DirectoryController::BlockState::kUncached:
+      case CoherentDirectory::BlockState::kUncached:
         EXPECT_EQ(holders, 0) << "block " << b;
         break;
     }
@@ -126,7 +172,11 @@ TEST_P(CcNumaFuzzTest, QuiescentStateSatisfiesProtocolInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CcNumaFuzzTest,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+                         ::testing::ValuesIn(CohFuzzCases(CcNumaFuzzConfig())));
+// Regression for DESIGN.md §13 bug 11: a full filter used to strand parked
+// requests behind free slots until the ports' deadlines failed them.
+INSTANTIATE_TEST_SUITE_P(BoundedFilter, CcNumaFuzzTest,
+                         ::testing::ValuesIn(CohFuzzCases(BoundedFuzzConfig())));
 
 // ------------------------------ COMA fuzz --------------------------------
 
