@@ -7,6 +7,19 @@
 #include "src/fabric/switch/mem_agent.h"
 
 namespace unifab {
+namespace {
+
+// Smallest size class that holds `size`; 0 when none does.
+std::uint32_t SizeClassOf(const std::vector<std::uint32_t>& size_classes, std::uint32_t size) {
+  for (std::uint32_t sc : size_classes) {
+    if (size <= sc) {
+      return sc;
+    }
+  }
+  return 0;
+}
+
+}  // namespace
 
 std::vector<MigrationPolicy::Move> TemperaturePolicy::Decide(
     const std::vector<ObjectInfo>& objects, const std::vector<MemTier>& tiers,
@@ -26,6 +39,8 @@ std::vector<MigrationPolicy::Move> TemperaturePolicy::Decide(
   });
 
   // Track hypothetical occupancy so one epoch doesn't overshoot a tier.
+  // Occupancy is in size-class bytes, like tier_used; the budget is in raw
+  // object bytes, which is what eTrans copies.
   std::vector<std::uint64_t> used = tier_used;
   for (const ObjectInfo* obj : hot) {
     if (budget < obj->size) {
@@ -33,15 +48,29 @@ std::vector<MigrationPolicy::Move> TemperaturePolicy::Decide(
     }
     const int dst = obj->tier - 1;
     const auto dsti = static_cast<std::size_t>(dst);
-    if (used[dsti] + obj->size > tiers[dsti].capacity) {
+    const std::uint32_t sc = SizeClassOf(config.size_classes, obj->size);
+    if (used[dsti] + sc > tiers[dsti].capacity) {
       continue;  // destination full; demotion below may free space for later epochs
     }
     moves.push_back(Move{obj->id, dst});
-    used[dsti] += obj->size;
+    used[dsti] += sc;
     budget -= obj->size;
   }
 
   // Demotion: coldest first, only from tiers above the high watermark.
+  // Occupancy only drops by demoting, so when no tier that can demote
+  // starts above the watermark, nothing demotes and the sort is skipped.
+  const auto below_watermark = [&](std::size_t t) {
+    return static_cast<double>(used[t]) / static_cast<double>(tiers[t].capacity) <
+           config.high_watermark;
+  };
+  bool any_above = false;
+  for (std::size_t t = 0; t + 1 < tiers.size(); ++t) {
+    any_above = any_above || !below_watermark(t);
+  }
+  if (!any_above) {
+    return moves;
+  }
   std::vector<const ObjectInfo*> cold;
   for (const auto& obj : objects) {
     if (obj.tier + 1 < static_cast<int>(tiers.size()) && !obj.migrating &&
@@ -54,9 +83,7 @@ std::vector<MigrationPolicy::Move> TemperaturePolicy::Decide(
   });
   for (const ObjectInfo* obj : cold) {
     const auto srci = static_cast<std::size_t>(obj->tier);
-    const double occupancy =
-        static_cast<double>(used[srci]) / static_cast<double>(tiers[srci].capacity);
-    if (occupancy < config.high_watermark) {
+    if (below_watermark(srci)) {
       continue;
     }
     if (budget < obj->size) {
@@ -64,12 +91,13 @@ std::vector<MigrationPolicy::Move> TemperaturePolicy::Decide(
     }
     const int dst = obj->tier + 1;
     const auto dsti = static_cast<std::size_t>(dst);
-    if (used[dsti] + obj->size > tiers[dsti].capacity) {
+    const std::uint32_t sc = SizeClassOf(config.size_classes, obj->size);
+    if (used[dsti] + sc > tiers[dsti].capacity) {
       continue;
     }
     moves.push_back(Move{obj->id, dst});
-    used[dsti] += obj->size;
-    used[srci] -= obj->size;
+    used[dsti] += sc;
+    used[srci] -= sc;
     budget -= obj->size;
   }
   return moves;
@@ -97,6 +125,7 @@ UnifiedHeap::UnifiedHeap(Engine* engine, const HeapConfig& config, MemoryHierarc
       etrans_(etrans),
       policy_(std::make_unique<TemperaturePolicy>()),
       profiler_(config.profiler, config.ewma_alpha) {
+  objects_.emplace_back();  // slot 0: kInvalidObject is never allocated
   next_epoch_at_ = engine_->Now() + config_.epoch_length;
   metrics_ = MetricGroup(&engine_->metrics(), "core/heap");
   stats_.BindTo(metrics_);
@@ -108,10 +137,13 @@ UnifiedHeap::UnifiedHeap(Engine* engine, const HeapConfig& config, MemoryHierarc
   // nothing exceeds the tier's capacity.
   audit_.AddCheck("tier_occupancy", [this]() -> std::string {
     std::vector<std::uint64_t> live(tiers_.size(), 0);
-    for (const auto& [id, obj] : objects_) {
+    for (const Object& obj : objects_) {
+      if (obj.info.id == kInvalidObject) {
+        continue;
+      }
       const int tier = obj.info.tier;
       if (tier < 0 || tier >= num_tiers()) {
-        return "object " + std::to_string(id) + " placed in invalid tier " +
+        return "object " + std::to_string(obj.info.id) + " placed in invalid tier " +
                std::to_string(tier);
       }
       live[static_cast<std::size_t>(tier)] += ClassFor(obj.info.size);
@@ -143,8 +175,8 @@ UnifiedHeap::UnifiedHeap(Engine* engine, const HeapConfig& config, MemoryHierarc
   // hence <= rather than ==.
   audit_.AddCheck("migration_accounting", [this]() -> std::string {
     std::uint64_t marked = 0;
-    for (const auto& [id, obj] : objects_) {
-      if (obj.info.migrating) {
+    for (const Object& obj : objects_) {
+      if (obj.info.migrating) {  // tombstones are never migrating
         ++marked;
       }
     }
@@ -184,7 +216,7 @@ UnifiedHeap::UnifiedHeap(Engine* engine, const HeapConfig& config, MemoryHierarc
 }
 
 void UnifiedHeap::AttachSwitchMem(SwitchMemClient* client, std::uint64_t va_base) {
-  assert(objects_.empty() && "attach switch-mem before the first allocation");
+  assert(live_objects_ == 0 && "attach switch-mem before the first allocation");
   switch_mem_ = client;
   va_base_ = va_base;
   va_bump_ = 0;
@@ -203,12 +235,7 @@ int UnifiedHeap::AddTier(const MemTier& tier) {
 }
 
 std::uint32_t UnifiedHeap::ClassFor(std::uint32_t size) const {
-  for (std::uint32_t sc : config_.size_classes) {
-    if (size <= sc) {
-      return sc;
-    }
-  }
-  return 0;  // larger than the largest class: unsupported
+  return SizeClassOf(config_.size_classes, size);  // 0: larger than the largest class
 }
 
 std::uint64_t UnifiedHeap::CarveBlock(int tier, std::uint32_t size_class) {
@@ -261,7 +288,8 @@ ObjectId UnifiedHeap::Allocate(std::uint32_t size, int tier_hint) {
       continue;
     }
     const ObjectId id = next_id_++;
-    Object obj;
+    Object& obj = objects_.emplace_back();
+    assert(objects_.size() == next_id_ && "slot index == ObjectId");
     obj.info.id = id;
     obj.info.addr = addr;
     obj.info.size = size;
@@ -273,7 +301,7 @@ ObjectId UnifiedHeap::Allocate(std::uint32_t size, int tier_hint) {
       switch_mem_->RegisterRange(obj.info.vaddr, sc,
                                  tiers_[static_cast<std::size_t>(tier)].caps.node, addr);
     }
-    objects_.emplace(id, std::move(obj));
+    ++live_objects_;
     tier_used_[static_cast<std::size_t>(tier)] += sc;
     profiler_.OnAllocate(id);
     ++stats_.allocations;
@@ -284,11 +312,11 @@ ObjectId UnifiedHeap::Allocate(std::uint32_t size, int tier_hint) {
 }
 
 void UnifiedHeap::Free(ObjectId id) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
+  Object* obj = Find(id);
+  if (obj == nullptr) {
     return;
   }
-  const ObjectInfo& info = it->second.info;
+  const ObjectInfo& info = obj->info;
   const std::uint32_t sc = ClassFor(info.size);
   if (switch_mem_ != nullptr) {
     if (info.migrating) {
@@ -303,64 +331,48 @@ void UnifiedHeap::Free(ObjectId id) {
   tier_used_[static_cast<std::size_t>(info.tier)] -= sc;
   profiler_.OnFree(id);
   ++stats_.frees;
-  objects_.erase(it);
-}
-
-void UnifiedHeap::Touch(Object& obj) {
-  profiler_.OnAccess(obj.info.id);
-  MaybeRunEpoch();
+  *obj = Object{};  // tombstone; releases the shadow bytes
+  --live_objects_;
 }
 
 void UnifiedHeap::Read(ObjectId id, std::function<void()> done) {
-  auto it = objects_.find(id);
-  assert(it != objects_.end() && "read of freed object");
   ++stats_.reads;
-  Touch(it->second);
-  if (switch_mem_ != nullptr) {
-    const std::uint32_t size = it->second.info.size;
-    switch_mem_->Resolve(it->second.info.vaddr,
-                         [this, size, done = std::move(done)](const Translation& x, bool ok) {
-                           if (!ok) {
-                             if (done) {
-                               done();  // range released underneath the access
-                             }
-                             return;
-                           }
-                           core_->AccessRange(x.addr, size, /*is_write=*/false, done);
-                         });
-    return;
-  }
-  core_->AccessRange(it->second.info.addr, it->second.info.size, /*is_write=*/false,
-                     std::move(done));
+  Access(id, /*is_write=*/false, std::move(done));
 }
 
 void UnifiedHeap::Write(ObjectId id, std::function<void()> done) {
-  auto it = objects_.find(id);
-  assert(it != objects_.end() && "write of freed object");
   ++stats_.writes;
-  Touch(it->second);
+  Access(id, /*is_write=*/true, std::move(done));
+}
+
+void UnifiedHeap::Access(ObjectId id, bool is_write, std::function<void()> done) {
+  assert(Find(id) != nullptr && "access to a freed object");
+  profiler_.OnAccess(id);
+  MaybeRunEpoch();
+  // Read the placement after the epoch: a migration it started has already
+  // recorded the destination.
+  const ObjectInfo& info = Find(id)->info;
   if (switch_mem_ != nullptr) {
-    const std::uint32_t size = it->second.info.size;
-    switch_mem_->Resolve(it->second.info.vaddr,
-                         [this, size, done = std::move(done)](const Translation& x, bool ok) {
-                           if (!ok) {
-                             if (done) {
-                               done();
-                             }
-                             return;
-                           }
-                           core_->AccessRange(x.addr, size, /*is_write=*/true, done);
-                         });
+    const std::uint32_t size = info.size;
+    switch_mem_->Resolve(info.vaddr, [this, size, is_write, done = std::move(done)](
+                                         const Translation& x, bool ok) {
+      if (!ok) {
+        if (done) {
+          done();  // range released underneath the access
+        }
+        return;
+      }
+      core_->AccessRange(x.addr, size, is_write, done);
+    });
     return;
   }
-  core_->AccessRange(it->second.info.addr, it->second.info.size, /*is_write=*/true,
-                     std::move(done));
+  core_->AccessRange(info.addr, info.size, is_write, std::move(done));
 }
 
 std::vector<std::byte>& UnifiedHeap::Shadow(ObjectId id) {
-  auto it = objects_.find(id);
-  assert(it != objects_.end());
-  return it->second.shadow;
+  Object* obj = Find(id);
+  assert(obj != nullptr);
+  return obj->shadow;
 }
 
 Segment UnifiedHeap::SegmentFor(const Object& obj) const {
@@ -391,13 +403,13 @@ void UnifiedHeap::FinishClaim(ObjectId id) {
 }
 
 MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void(bool)> done) {
-  auto it = objects_.find(id);
+  Object* found = Find(id);
   MigrateResult reject = MigrateResult::kStarted;
-  if (it == objects_.end()) {
+  if (found == nullptr) {
     reject = MigrateResult::kNoSuchObject;
-  } else if (it->second.info.migrating) {
+  } else if (found->info.migrating) {
     reject = MigrateResult::kBusy;
-  } else if (dst_tier == it->second.info.tier) {
+  } else if (dst_tier == found->info.tier) {
     reject = MigrateResult::kSameTier;
   }
   if (reject != MigrateResult::kStarted) {
@@ -406,7 +418,7 @@ MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void
     }
     return reject;
   }
-  Object& obj = it->second;
+  Object& obj = *found;
   const std::uint32_t sc = ClassFor(obj.info.size);
   const std::uint64_t dst_addr = CarveBlock(dst_tier, sc);
   if (dst_addr == 0) {
@@ -449,14 +461,14 @@ MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void
   TransferFuture f = etrans_->Submit(agent_, desc);
   f.Then([this, id, src_tier, src_addr, dst_tier, dst_addr, sc, size,
           done](const TransferResult& r) {
-    auto it2 = objects_.find(id);
+    Object* obj2 = Find(id);
 
     if (!r.ok) {
       // The copy aborted (fabric failure, retries exhausted). The source
       // bytes were never released, so the object simply stays where it was;
       // no commit was issued, so cached translations are still correct.
       ++stats_.migrations_failed;
-      if (it2 == objects_.end()) {
+      if (obj2 == nullptr) {
         // Freed mid-migration: Free() already returned the eagerly recorded
         // dst block, so only the src block is still ours.
         for (std::uint64_t a = src_addr; a < src_addr + size; a += 64) {
@@ -473,9 +485,9 @@ MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void
         }
         ReleaseBlock(dst_tier, sc, dst_addr);
         tier_used_[static_cast<std::size_t>(dst_tier)] -= sc;
-        it2->second.info.addr = src_addr;
-        it2->second.info.tier = src_tier;
-        it2->second.info.migrating = false;
+        obj2->info.addr = src_addr;
+        obj2->info.tier = src_tier;
+        obj2->info.migrating = false;
       }
       FinishClaim(id);
       if (done) {
@@ -501,13 +513,13 @@ MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void
       // reusable as soon as the copy finished.
       reclaim_src(r.bytes);
       FinishClaim(id);
-      if (it2 == objects_.end()) {
+      if (obj2 == nullptr) {
         if (done) {
           done(false);  // freed mid-migration
         }
         return;
       }
-      it2->second.info.migrating = false;
+      obj2->info.migrating = false;
       if (done) {
         done(true);
       }
@@ -538,13 +550,13 @@ MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void
     switch_mem_->Commit(
         next, [this, id, src_tier, src_addr, dst_tier, dst_addr, sc, size, copied,
                done](bool committed) {
-          auto it3 = objects_.find(id);
+          Object* obj3 = Find(id);
           if (!committed) {
             // Commit rejected (range released or a racing commit won). The
             // bytes were copied but the fabric still routes at the source
             // placement; roll back exactly like a failed copy.
             ++stats_.migrations_failed;
-            if (it3 == objects_.end()) {
+            if (obj3 == nullptr) {
               for (std::uint64_t a = src_addr; a < src_addr + size; a += 64) {
                 core_->InvalidateLine(a);
               }
@@ -556,9 +568,9 @@ MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void
               }
               ReleaseBlock(dst_tier, sc, dst_addr);
               tier_used_[static_cast<std::size_t>(dst_tier)] -= sc;
-              it3->second.info.addr = src_addr;
-              it3->second.info.tier = src_tier;
-              it3->second.info.migrating = false;
+              obj3->info.addr = src_addr;
+              obj3->info.tier = src_tier;
+              obj3->info.migrating = false;
             }
             FinishClaim(id);
             if (done) {
@@ -574,13 +586,13 @@ MigrateResult UnifiedHeap::Migrate(ObjectId id, int dst_tier, std::function<void
           tier_used_[static_cast<std::size_t>(src_tier)] -= sc;
           stats_.bytes_migrated += copied;
           FinishClaim(id);
-          if (it3 == objects_.end()) {
+          if (obj3 == nullptr) {
             if (done) {
               done(false);  // freed during the commit handshake
             }
             return;
           }
-          it3->second.info.migrating = false;
+          obj3->info.migrating = false;
           if (done) {
             done(true);
           }
@@ -627,11 +639,11 @@ void UnifiedHeap::RunEpoch() {
   std::vector<ObjectInfo> snapshot;
   snapshot.reserve(candidates.size());
   for (const auto& c : candidates) {
-    auto it = objects_.find(c.id);
-    if (it == objects_.end()) {
+    const Object* obj = Find(c.id);
+    if (obj == nullptr) {
       continue;  // profiler entries are erased on Free; defensive only
     }
-    ObjectInfo info = it->second.info;
+    ObjectInfo info = obj->info;
     info.temperature = c.temperature;
     info.epoch_accesses = 0;
     snapshot.push_back(info);
@@ -643,19 +655,19 @@ void UnifiedHeap::RunEpoch() {
 }
 
 ObjectInfo UnifiedHeap::Info(ObjectId id) const {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
+  const Object* obj = Find(id);
+  if (obj == nullptr) {
     return ObjectInfo{};
   }
-  ObjectInfo info = it->second.info;
+  ObjectInfo info = obj->info;
   info.temperature = profiler_.TemperatureOf(id);
   info.epoch_accesses = profiler_.PendingAccesses(id);
   return info;
 }
 
 int UnifiedHeap::TierOf(ObjectId id) const {
-  auto it = objects_.find(id);
-  return it == objects_.end() ? -1 : it->second.info.tier;
+  const Object* obj = Find(id);
+  return obj == nullptr ? -1 : obj->info.tier;
 }
 
 }  // namespace unifab

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/core/etrans.h"
@@ -76,6 +77,8 @@ struct ObjectInfo {
   double temperature = 0.0;
   std::uint64_t epoch_accesses = 0;
   bool migrating = false;
+
+  bool operator==(const ObjectInfo&) const = default;
 };
 
 // Synchronous outcome of Migrate(); the async `done` callback still reports
@@ -175,7 +178,7 @@ class UnifiedHeap {
   const MemTier& Tier(int tier) const { return tiers_[static_cast<std::size_t>(tier)]; }
   int num_tiers() const { return static_cast<int>(tiers_.size()); }
   const HeapStats& stats() const { return stats_; }
-  std::size_t live_objects() const { return objects_.size(); }
+  std::size_t live_objects() const { return live_objects_; }
   const ShardedTemperatureProfiler& profiler() const { return profiler_; }
   SwitchMemClient* switch_mem() const { return switch_mem_; }
 
@@ -205,10 +208,16 @@ class UnifiedHeap {
     bool freed = false;  // Free() arrived mid-migration; finish then reap
   };
 
+  // The live object `id`, or nullptr (id 0, never allocated, or freed).
+  const Object* Find(ObjectId id) const {
+    return id < objects_.size() && objects_[id].info.id != kInvalidObject ? &objects_[id]
+                                                                          : nullptr;
+  }
+  Object* Find(ObjectId id) { return const_cast<Object*>(std::as_const(*this).Find(id)); }
   std::uint32_t ClassFor(std::uint32_t size) const;
   std::uint64_t CarveBlock(int tier, std::uint32_t size_class);  // 0 on failure
   void ReleaseBlock(int tier, std::uint32_t size_class, std::uint64_t addr);
-  void Touch(Object& obj);
+  void Access(ObjectId id, bool is_write, std::function<void()> done);
   void MaybeRunEpoch();
   Segment SegmentFor(const Object& obj) const;
   void BeginClaim(ObjectId id, const InFlightMigration& claim);
@@ -229,7 +238,11 @@ class UnifiedHeap {
   std::vector<std::uint64_t> tier_migrating_src_;
   std::uint64_t migrations_in_flight_ = 0;
   std::unordered_map<ObjectId, InFlightMigration> inflight_;
-  std::unordered_map<ObjectId, Object> objects_;
+  // Slot `id` holds object `id`, so objects_.size() == next_id_. Ids are
+  // never reused: a freed object leaves a tombstone (info.id ==
+  // kInvalidObject, 80 B), and slot 0 is always one.
+  std::vector<Object> objects_;
+  std::size_t live_objects_ = 0;
   std::unique_ptr<MigrationPolicy> policy_;
   ShardedTemperatureProfiler profiler_;
   SwitchMemClient* switch_mem_ = nullptr;

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
+#include <functional>
+#include <utility>
 
 namespace unifab {
 
@@ -15,20 +16,106 @@ ShardedTemperatureProfiler::ShardedTemperatureProfiler(const ProfilerConfig& con
 }
 
 void ShardedTemperatureProfiler::OnAllocate(std::uint64_t id) {
-  shards_[ShardOf(id)].entries.emplace(id, Entry{});
+  Shard& shard = ShardOf(id);
+  const std::size_t slot = SlotOf(id);
+  if (slot >= shard.slots.size()) {
+    shard.slots.resize(slot + 1);
+  }
+  Entry& entry = shard.slots[slot];
+  if (!entry.live) {
+    entry = Entry{0.0, 0, /*live=*/true};
+    ++shard.live;
+  }
 }
 
 void ShardedTemperatureProfiler::OnFree(std::uint64_t id) {
-  shards_[ShardOf(id)].entries.erase(id);
+  if (Entry* entry = Find(id)) {
+    *entry = Entry{};
+    --ShardOf(id).live;
+  }
 }
 
 void ShardedTemperatureProfiler::OnAccess(std::uint64_t id) {
-  auto& entries = shards_[ShardOf(id)].entries;
-  auto it = entries.find(id);
-  if (it != entries.end()) {
-    ++it->second.pending;
+  if (Entry* entry = Find(id)) {
+    ++entry->pending;
   }
 }
+
+const ShardedTemperatureProfiler::Entry* ShardedTemperatureProfiler::Find(
+    std::uint64_t id) const {
+  const Shard& shard = shards_[id % shards_.size()];
+  const std::size_t slot = SlotOf(id);
+  return slot < shard.slots.size() && shard.slots[slot].live ? &shard.slots[slot] : nullptr;
+}
+
+namespace {
+
+using Candidate = ShardedTemperatureProfiler::Candidate;
+
+// Total candidate order: `Before` on temperature, then ascending id.
+template <typename Before>
+struct ByTemperatureThenId {
+  bool operator()(const Candidate& a, const Candidate& b) const {
+    return a.temperature != b.temperature ? Before{}(a.temperature, b.temperature)
+                                          : a.id < b.id;
+  }
+};
+
+// `run` holds one shard's qualifying entries in ascending id order. Leaves
+// exactly its first `k` under ByTemperatureThenId<Before>, sorted: every
+// entry strictly before the k-th temperature, then the lowest-id ties at
+// it. Linear apart from sorting the strictly-before part.
+template <typename Before>
+void KeepFirst(std::vector<Candidate>& run, std::size_t k, std::vector<double>& temps,
+               std::vector<Candidate>& kept) {
+  const std::size_t n = std::min(k, run.size());
+  if (n == 0) {
+    run.clear();
+    return;
+  }
+  temps.clear();
+  for (const Candidate& c : run) {
+    temps.push_back(c.temperature);
+  }
+  const auto nth = temps.begin() + static_cast<std::ptrdiff_t>(n - 1);
+  std::nth_element(temps.begin(), nth, temps.end(), Before{});
+  const double cut = *nth;
+  kept.clear();
+  for (const Candidate& c : run) {
+    if (Before{}(c.temperature, cut)) {
+      kept.push_back(c);
+    }
+  }
+  std::sort(kept.begin(), kept.end(), ByTemperatureThenId<Before>{});
+  for (auto it = run.begin(); it != run.end() && kept.size() < n; ++it) {
+    if (it->temperature == cut) {
+      kept.push_back(*it);
+    }
+  }
+  run.swap(kept);
+}
+
+// Merges the consecutive sorted runs of `v` that end at `ends` in place.
+template <typename Before>
+void MergeRuns(std::vector<Candidate>& v, std::vector<std::size_t> ends) {
+  ends.insert(ends.begin(), 0);
+  while (ends.size() > 2) {
+    std::vector<std::size_t> merged = {0};
+    for (std::size_t i = 2; i < ends.size(); i += 2) {
+      std::inplace_merge(v.begin() + static_cast<std::ptrdiff_t>(ends[i - 2]),
+                         v.begin() + static_cast<std::ptrdiff_t>(ends[i - 1]),
+                         v.begin() + static_cast<std::ptrdiff_t>(ends[i]),
+                         ByTemperatureThenId<Before>{});
+      merged.push_back(ends[i]);
+    }
+    if (ends.size() % 2 == 0) {
+      merged.push_back(ends.back());  // odd run count: the last run waits a round
+    }
+    ends.swap(merged);
+  }
+}
+
+}  // namespace
 
 std::vector<ShardedTemperatureProfiler::Candidate> ShardedTemperatureProfiler::FoldEpoch(
     std::uint64_t elapsed, double hot_threshold, double cold_threshold) {
@@ -36,92 +123,94 @@ std::vector<ShardedTemperatureProfiler::Candidate> ShardedTemperatureProfiler::F
   epoch_temperature_.Clear();
   const double idle_decay =
       std::pow(1.0 - ewma_alpha_, static_cast<double>(elapsed > 0 ? elapsed - 1 : 0));
-
-  const auto hotter = [](const Candidate& a, const Candidate& b) {
-    return a.temperature != b.temperature ? a.temperature > b.temperature : a.id < b.id;
-  };
-  const auto colder = [](const Candidate& a, const Candidate& b) {
-    return a.temperature != b.temperature ? a.temperature < b.temperature : a.id < b.id;
-  };
+  const std::size_t k = config_.max_candidates_per_shard;
+  const std::uint64_t stride = shards_.size();
 
   std::vector<Candidate> hot;
   std::vector<Candidate> cold;
+  std::vector<std::size_t> hot_ends;
+  std::vector<std::size_t> cold_ends;
   std::vector<Candidate> shard_hot;
   std::vector<Candidate> shard_cold;
-  for (Shard& shard : shards_) {
+  std::vector<double> temps;
+  std::vector<Candidate> kept;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     shard_hot.clear();
     shard_cold.clear();
-    for (auto& [id, entry] : shard.entries) {
-      if (elapsed > 1) {
-        entry.temperature *= idle_decay;
+    std::uint64_t id = s;
+    for (Entry& entry : shards_[s].slots) {
+      if (entry.live) {
+        if (elapsed > 1) {
+          entry.temperature *= idle_decay;
+        }
+        entry.temperature = ewma_alpha_ * static_cast<double>(entry.pending) +
+                            (1.0 - ewma_alpha_) * entry.temperature;
+        entry.pending = 0;
+        epoch_temperature_.Add(entry.temperature);
+        // An entry can qualify both ways when the thresholds overlap
+        // (promote_threshold < demote_threshold); the policy re-filters, so
+        // report it in both directions like the legacy full snapshot did.
+        if (entry.temperature >= hot_threshold) {
+          shard_hot.push_back(Candidate{id, entry.temperature});
+        }
+        if (entry.temperature <= cold_threshold) {
+          shard_cold.push_back(Candidate{id, entry.temperature});
+        }
       }
-      entry.temperature = ewma_alpha_ * static_cast<double>(entry.pending) +
-                          (1.0 - ewma_alpha_) * entry.temperature;
-      entry.pending = 0;
-      epoch_temperature_.Add(entry.temperature);
-      // An entry can qualify both ways when the thresholds overlap
-      // (promote_threshold < demote_threshold); the policy re-filters, so
-      // report it in both directions like the legacy full snapshot did.
-      if (entry.temperature >= hot_threshold) {
-        shard_hot.push_back(Candidate{id, entry.temperature});
-      }
-      if (entry.temperature <= cold_threshold) {
-        shard_cold.push_back(Candidate{id, entry.temperature});
-      }
+      id += stride;
     }
-    std::sort(shard_hot.begin(), shard_hot.end(), hotter);
-    std::sort(shard_cold.begin(), shard_cold.end(), colder);
-    if (shard_hot.size() > config_.max_candidates_per_shard) {
-      shard_hot.resize(config_.max_candidates_per_shard);
-    }
-    if (shard_cold.size() > config_.max_candidates_per_shard) {
-      shard_cold.resize(config_.max_candidates_per_shard);
-    }
+    KeepFirst<std::greater<double>>(shard_hot, k, temps, kept);
+    KeepFirst<std::less<double>>(shard_cold, k, temps, kept);
     hot.insert(hot.end(), shard_hot.begin(), shard_hot.end());
     cold.insert(cold.end(), shard_cold.begin(), shard_cold.end());
+    hot_ends.push_back(hot.size());
+    cold_ends.push_back(cold.size());
   }
 
-  // Deterministic cross-shard merge: the per-shard extracts were already
-  // totally ordered, so one global sort pins the final order regardless of
-  // shard iteration order (unordered_map order never leaks out).
-  std::sort(hot.begin(), hot.end(), hotter);
-  std::sort(cold.begin(), cold.end(), colder);
+  // Each shard's run is already in the total (temperature, id) order, so
+  // merging them gives exactly the order one global sort would.
+  MergeRuns<std::greater<double>>(hot, std::move(hot_ends));
+  MergeRuns<std::less<double>>(cold, std::move(cold_ends));
   hot_candidates_ += hot.size();
   cold_candidates_ += cold.size();
 
-  std::vector<Candidate> merged;
-  merged.reserve(hot.size() + cold.size());
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(hot.size() + cold.size());
-  for (const Candidate& c : hot) {
-    if (seen.insert(c.id).second) {
-      merged.push_back(c);
+  // Hot entries first, then cold ones not already listed hot. An entry can
+  // be listed both ways only when the thresholds overlap (promote <=
+  // demote), and then only if it clears the hot threshold, so only such
+  // entries search the hot ids.
+  std::vector<std::uint64_t> hot_ids;
+  if (hot_threshold <= cold_threshold) {
+    for (const Candidate& c : hot) {
+      hot_ids.push_back(c.id);
     }
+    std::sort(hot_ids.begin(), hot_ids.end());
   }
+  std::vector<Candidate> merged = std::move(hot);
+  merged.reserve(merged.size() + cold.size());
   for (const Candidate& c : cold) {
-    if (seen.insert(c.id).second) {
-      merged.push_back(c);
+    if (c.temperature >= hot_threshold &&
+        std::binary_search(hot_ids.begin(), hot_ids.end(), c.id)) {
+      continue;
     }
+    merged.push_back(c);
   }
   return merged;
 }
 
 double ShardedTemperatureProfiler::TemperatureOf(std::uint64_t id) const {
-  const auto& entries = shards_[ShardOf(id)].entries;
-  auto it = entries.find(id);
-  return it == entries.end() ? 0.0 : it->second.temperature;
+  const Entry* entry = Find(id);
+  return entry == nullptr ? 0.0 : entry->temperature;
 }
 
 std::uint64_t ShardedTemperatureProfiler::PendingAccesses(std::uint64_t id) const {
-  const auto& entries = shards_[ShardOf(id)].entries;
-  auto it = entries.find(id);
-  return it == entries.end() ? 0 : it->second.pending;
+  const Entry* entry = Find(id);
+  return entry == nullptr ? 0 : entry->pending;
 }
 
 std::size_t ShardedTemperatureProfiler::entries() const {
   std::size_t n = 0;
   for (const Shard& shard : shards_) {
-    n += shard.entries.size();
+    n += shard.live;
   }
   return n;
 }

@@ -12,11 +12,28 @@
 // UNIFAB_SHARDS worker count, so fold results (and hence run digests) are
 // identical for any worker pool.
 //
+// Storage. Object id `id` lives in shard `id % shards`, at slot `id /
+// shards` of that shard's slot vector; a freed slot stays as a tombstone.
+// The heap hands out ids from a monotonic counter and never reuses one, so
+// memory is O(ids ever allocated): 24 B per id here (plus the heap's own
+// object slot). The heap's in-repo churn (iTask snapshots, MIMO frames) is
+// around 10^3 allocations per run, so tombstones stay negligible.
+//
+// The fold is one linear pass. Each shard is scanned in ascending id, so a
+// shard's hot and cold qualifiers come out already ordered by id, which is
+// the tie-break of the (temperature, id) order. Keeping the first
+// max_candidates_per_shard of them then needs only the k-th temperature
+// (nth_element): entries strictly before it are sorted (usually few — on a
+// large heap most cold entries were never touched and tie at 0.0), the
+// lowest-id ties fill the rest, and the per-shard runs are merged, not
+// re-sorted. The result is exactly what a full sort would give.
+//
 // The epoch-temperature summary is rebuilt from scratch at every fold and
 // each live entry contributes exactly one sample; empty shards contribute
 // nothing (per-shard summaries merged additively would double-count the
 // re-anchoring sentinel an empty shard has to emit — the bug class this
-// rewrite retires).
+// rewrite retires). Samples are added shard by shard in ascending id, so
+// the summary's mean is summed in that fixed order.
 
 #ifndef SRC_CORE_HEAP_PROFILER_H_
 #define SRC_CORE_HEAP_PROFILER_H_
@@ -24,7 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/metrics.h"
@@ -49,6 +66,9 @@ class ShardedTemperatureProfiler {
 
   ShardedTemperatureProfiler(const ProfilerConfig& config, double ewma_alpha);
 
+  // Storage grows to the largest id allocated, so ids must be dense (the
+  // heap's are). Re-allocating a live id keeps its state; freeing or
+  // accessing an unknown id does nothing.
   void OnAllocate(std::uint64_t id);
   void OnFree(std::uint64_t id);
   void OnAccess(std::uint64_t id);
@@ -71,7 +91,7 @@ class ShardedTemperatureProfiler {
 
   std::size_t entries() const;
   std::size_t ShardEntries(int shard) const {
-    return shards_[static_cast<std::size_t>(shard)].entries.size();
+    return shards_[static_cast<std::size_t>(shard)].live;
   }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   std::uint64_t folds() const { return folds_; }
@@ -88,14 +108,20 @@ class ShardedTemperatureProfiler {
   struct Entry {
     double temperature = 0.0;
     std::uint64_t pending = 0;  // accesses in the open epoch
+    bool live = false;          // false: never allocated, or freed
   };
 
   struct Shard {
-    std::unordered_map<std::uint64_t, Entry> entries;
+    std::vector<Entry> slots;  // slot i holds id i * shards + shard index
+    std::size_t live = 0;
   };
 
-  std::size_t ShardOf(std::uint64_t id) const {
-    return static_cast<std::size_t>(id % shards_.size());
+  Shard& ShardOf(std::uint64_t id) { return shards_[id % shards_.size()]; }
+  std::size_t SlotOf(std::uint64_t id) const { return id / shards_.size(); }
+  // The live entry for `id`, or nullptr.
+  const Entry* Find(std::uint64_t id) const;
+  Entry* Find(std::uint64_t id) {
+    return const_cast<Entry*>(std::as_const(*this).Find(id));
   }
 
   ProfilerConfig config_;

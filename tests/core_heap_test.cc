@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "src/baseline/policies.h"
 #include "src/core/runtime.h"
 #include "src/core/uniptr.h"
@@ -267,6 +270,90 @@ TEST_F(HeapTest, MigrationBudgetCapsPerEpochMovement) {
   EXPECT_LE(heap->stats().promotions, 2u);
 }
 
+TEST_F(HeapTest, UnknownIdsAreRejected) {
+  const ObjectId live = heap_->Allocate(64, 1);
+  for (const ObjectId id : {kInvalidObject, live + 1, ObjectId{1} << 40}) {
+    SCOPED_TRACE("id " + std::to_string(id));
+    EXPECT_EQ(heap_->Info(id), ObjectInfo{});
+    EXPECT_EQ(heap_->TierOf(id), -1);
+    bool cb_ok = true;
+    EXPECT_EQ(heap_->Migrate(id, 0, [&](bool v) { cb_ok = v; }), MigrateResult::kNoSuchObject);
+    EXPECT_FALSE(cb_ok);
+    heap_->Free(id);  // no-op
+  }
+  EXPECT_EQ(heap_->stats().frees, 0u);
+  EXPECT_EQ(heap_->live_objects(), 1u);
+  EXPECT_EQ(heap_->TierOf(live), 1);
+}
+
+TEST_F(HeapTest, FreedIdStaysDeadAndIsNeverReused) {
+  const ObjectId a = heap_->Allocate(4096, 1);
+  const std::uint64_t used = heap_->TierUsed(1);
+  heap_->Free(a);
+  EXPECT_EQ(heap_->Info(a), ObjectInfo{});
+  EXPECT_EQ(heap_->TierOf(a), -1);
+  EXPECT_EQ(heap_->Migrate(a, 0, nullptr), MigrateResult::kNoSuchObject);
+
+  heap_->Free(a);  // double free is a no-op
+  EXPECT_EQ(heap_->stats().frees, 1u);
+  EXPECT_EQ(heap_->TierUsed(1), used - 4096);
+  EXPECT_EQ(heap_->live_objects(), 0u);
+
+  const ObjectId b = heap_->Allocate(4096, 1);
+  EXPECT_GT(b, a);  // the block is recycled, the id is not
+  EXPECT_EQ(heap_->Info(a), ObjectInfo{});
+  EXPECT_EQ(heap_->TierOf(b), 1);
+  EXPECT_EQ(heap_->profiler().entries(), 1u);
+}
+
+TEST_F(HeapTest, ChurnKeepsObjectTableAndAuditsConsistent) {
+  std::vector<ObjectId> live;
+  std::set<ObjectId> issued;
+  std::uint64_t frees = 0;
+  for (int round = 0; round < 8; ++round) {
+    for (int i = 0; i < 24; ++i) {
+      const ObjectId id =
+          heap_->Allocate(static_cast<std::uint32_t>(64 << (i % 4)), /*tier_hint=*/(i + round) % 2);
+      ASSERT_NE(id, kInvalidObject);
+      EXPECT_TRUE(issued.insert(id).second) << "id " << id << " reused";
+      live.push_back(id);
+    }
+    for (std::size_t i = 0; i < live.size(); i += 3) {
+      heap_->Read(live[i], nullptr);
+    }
+    // Start migrations, then free every fifth object — some of them mid-copy.
+    for (std::size_t i = 1; i < live.size(); i += 4) {
+      heap_->Migrate(live[i], 1 - heap_->TierOf(live[i]), nullptr);
+    }
+    std::vector<ObjectId> kept;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (i % 5 == static_cast<std::size_t>(round % 5)) {
+        heap_->Free(live[i]);
+        ++frees;
+        EXPECT_EQ(heap_->TierOf(live[i]), -1);
+      } else {
+        kept.push_back(live[i]);
+      }
+    }
+    live.swap(kept);
+    EXPECT_EQ(heap_->live_objects(), live.size());
+    EXPECT_EQ(heap_->profiler().entries(), live.size());
+    cluster_.engine().Run();
+    heap_->RunEpoch();
+  }
+  cluster_.engine().Run();
+  EXPECT_EQ(heap_->stats().frees, frees);
+  EXPECT_EQ(heap_->live_objects(), live.size());
+  for (const ObjectId id : live) {
+    EXPECT_EQ(heap_->Info(id).id, id);
+    EXPECT_FALSE(heap_->Info(id).migrating);
+  }
+  const auto violations = cluster_.engine().audit().Sweep();
+  for (const auto& v : violations) {
+    ADD_FAILURE() << v.path << ": " << v.message;
+  }
+}
+
 // TemperaturePolicy decision-table unit tests (no simulation).
 TEST(TemperaturePolicyTest, PromotesHottestFirstWithinBudget) {
   TemperaturePolicy policy;
@@ -330,6 +417,35 @@ TEST(TemperaturePolicyTest, MigratingObjectsAreLeftAlone) {
   objects[0].temperature = 10.0;
   objects[0].migrating = true;
   EXPECT_TRUE(policy.Decide(objects, tiers, used, cfg).empty());
+}
+
+TEST(TemperaturePolicyTest, ChargesSizeClassAgainstCapacity) {
+  // Tiers account size-class bytes: five 200 B objects occupy 256 B each,
+  // so a 1,024 B tier takes four. Charging raw bytes planned a fifth move
+  // that could not be carved.
+  TemperaturePolicy policy;
+  HeapConfig cfg;
+  cfg.promote_threshold = 1.0;
+
+  std::vector<MemTier> tiers(2);
+  tiers[0].capacity = 1024;
+  tiers[1].capacity = 1 << 20;
+  std::vector<std::uint64_t> used = {0, 5 * 256};
+
+  std::vector<ObjectInfo> objects(5);
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    objects[i].id = static_cast<ObjectId>(i + 1);
+    objects[i].size = 200;
+    objects[i].tier = 1;
+    objects[i].temperature = 10.0 - static_cast<double>(i);
+  }
+
+  const auto moves = policy.Decide(objects, tiers, used, cfg);
+  ASSERT_EQ(moves.size(), 4u);
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    EXPECT_EQ(moves[i].object, static_cast<ObjectId>(i + 1));
+    EXPECT_EQ(moves[i].dst_tier, 0);
+  }
 }
 
 // Property sweep over size classes: allocations land in the right class
