@@ -3,9 +3,11 @@
 // cancellation-heavy one and a fig1-topology closed-loop traffic run) under
 // wall-clock timing and compares against the pre-overhaul binary-heap
 // baseline measured on this container, emitting events/sec, wall-clock and
-// peak RSS to BENCH_engine_hotpath.json. Wall-clock numbers are
-// machine-dependent, so this report is deliberately NOT a golden file; the
-// speedup ratios are what scripts/check.sh gates on (via --enforce).
+// peak RSS to BENCH_engine_hotpath.json. Every host-time-derived number
+// (wall ms, events/sec, speedups, peak RSS) goes to the report's non-golden
+// "perf" section, so two runs' "results" (constants and event counts) diff
+// empty; the speedup ratios are what scripts/check.sh gates on (via
+// --enforce).
 
 #include <sys/resource.h>
 
@@ -265,13 +267,13 @@ void Report(BenchReport* report, const char* name, double wall, std::uint64_t fi
   std::printf("  %-18s %12" PRIu64 " events  %8.1f ms  %10.2f M events/s", name, fired,
               wall * 1e3, eps / 1e6);
   report->Note(std::string(name) + "/events", fired);
-  report->Note(std::string(name) + "/wall_ms", wall * 1e3);
-  report->Note(std::string(name) + "/events_per_sec", eps);
+  report->Perf(std::string(name) + "/wall_ms", wall * 1e3);
+  report->Perf(std::string(name) + "/events_per_sec", eps);
   if (baseline_eps > 0.0) {
     const double speedup = eps / baseline_eps;
     std::printf("  %5.2fx over %.2f M/s baseline", speedup, baseline_eps / 1e6);
     report->Note(std::string(name) + "/baseline_events_per_sec", baseline_eps);
-    report->Note(std::string(name) + "/speedup", speedup);
+    report->Perf(std::string(name) + "/speedup", speedup);
     if (speedup_out != nullptr) {
       *speedup_out = speedup;
     }
@@ -314,7 +316,7 @@ int main(int argc, char** argv) {
   report.Note("fig1_closed_loop/loads_completed", loads);
   if (kBaseline.fig1_closed_loop_wall_ms > 0.0) {
     report.Note("fig1_closed_loop/baseline_wall_ms", kBaseline.fig1_closed_loop_wall_ms);
-    report.Note("fig1_closed_loop/wall_speedup", kBaseline.fig1_closed_loop_wall_ms / (wall * 1e3));
+    report.Perf("fig1_closed_loop/wall_speedup", kBaseline.fig1_closed_loop_wall_ms / (wall * 1e3));
     std::printf("  fig1 closed loop: %" PRIu64 " loads, %.2fx wall-clock vs %.1f ms baseline\n",
                 loads, kBaseline.fig1_closed_loop_wall_ms / (wall * 1e3),
                 kBaseline.fig1_closed_loop_wall_ms);
@@ -349,9 +351,9 @@ int main(int argc, char** argv) {
                 workers, fig1_eps / 1e6, fig1_speedup, mix_eps / 1e6, mix_speedup);
     const std::string prefix = "shard_sweep/workers" + std::to_string(workers);
     report.Note(prefix + "/fig1_events", fired);
-    report.Note(prefix + "/fig1_events_per_sec", fig1_eps);
+    report.Perf(prefix + "/fig1_events_per_sec", fig1_eps);
     report.Note(prefix + "/mix_events", mix_fired);
-    report.Note(prefix + "/mix_events_per_sec", mix_eps);
+    report.Perf(prefix + "/mix_events_per_sec", mix_eps);
   }
   report.Note("shard_sweep/hardware_threads", static_cast<std::uint64_t>(cores));
   report.Note("shard_sweep/fig1_floor_events_per_sec", kParFloor.fig1_eps);
@@ -364,7 +366,7 @@ int main(int argc, char** argv) {
   report.Note("bench_engine_micro_prepr/deep_queue_1024_eps", 8.9e6);
 
   const double rss = PeakRssMb();
-  report.Note("peak_rss_mb", rss);
+  report.Perf("peak_rss_mb", rss);
   std::printf("peak RSS: %.1f MiB\n", rss);
 
   report.WriteJson();

@@ -1,7 +1,9 @@
 #include "src/fabric/switch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <string>
 #include <utility>
 
 namespace unifab {
@@ -17,6 +19,30 @@ FabricSwitch::FabricSwitch(Engine* engine, const SwitchConfig& config, std::stri
     : engine_(engine), config_(config), name_(std::move(name)) {
   metrics_ = MetricGroup(&engine_->metrics(), "fabric/switch/" + name_);
   stats_.BindTo(metrics_);
+  audit_ = AuditScope(&engine_->audit(), "fabric/switch/" + name_);
+  // Arbitration visits only ready inputs, so a missing bit strands a flit
+  // and a stale one offers a head to the wrong output.
+  audit_.AddCheck("ready_set_exact", [this]() -> std::string {
+    std::uint64_t queued = 0;
+    for (int input = 0; input < num_ports(); ++input) {
+      for (const auto& q : inputs_[input].queues) {
+        queued += q.size();
+      }
+      for (int out = 0; out < num_ports(); ++out) {
+        const bool has_head = HeadFor(input, out) != nullptr;
+        if (Ready(out, input) != has_head) {
+          return "output " + std::to_string(out) + " input " + std::to_string(input) +
+                 ": ready bit " + std::to_string(Ready(out, input)) + " != has head " +
+                 std::to_string(has_head);
+        }
+      }
+    }
+    if (queued != queued_) {
+      return "queued=" + std::to_string(queued_) + " != sum of queue lengths " +
+             std::to_string(queued);
+    }
+    return {};
+  });
 }
 
 int FabricSwitch::AttachPort(LinkEndpoint* endpoint) {
@@ -26,9 +52,13 @@ int FabricSwitch::AttachPort(LinkEndpoint* endpoint) {
   outputs_.emplace_back();
   endpoint->Bind(this, port);
   endpoint->SetDrainCallback([this] { ScheduleArbitration(); });
-  // Size every input's queue vector for the new port count.
+  // Size every input's queue vector and every output's ready set for the
+  // new port count.
   for (auto& in : inputs_) {
     in.queues.resize(config_.virtual_output_queues ? ports_.size() : 1);
+  }
+  for (auto& op : outputs_) {
+    op.ready.resize((ports_.size() + 63) / 64, 0);
   }
   return port;
 }
@@ -76,9 +106,12 @@ void FabricSwitch::ReceiveFlit(const Flit& flit, int port) {
     ++stats_.flits_dropped;
     return;
   }
-  InputPort& in = inputs_[port];
-  const std::size_t qi = config_.virtual_output_queues ? static_cast<std::size_t>(out) : 0;
-  in.queues[qi].push_back(QueuedFlit{flit, out, engine_->Now(), arrival_counter_++});
+  auto& q = QueueFor(port, out);
+  if (q.empty()) {
+    SetReady(out, port);  // the flit is its queue's new head
+  }
+  q.push_back(QueuedFlit{flit, out, engine_->Now(), arrival_counter_++});
+  ++queued_;
   ScheduleArbitration();
 }
 
@@ -101,11 +134,17 @@ void FabricSwitch::Arbitrate() {
     ReallocateCredits();
     next_realloc_ = engine_->Now() + config_.credit_realloc_period;
   }
-  // Keep matching inputs to outputs until no output can make progress.
+  // Keep matching inputs to outputs until no output can make progress. With
+  // VOQs an output with no ready input cannot win a flit and is skipped;
+  // single-FIFO inputs visit every output, because a visit that finds no
+  // winner is where head-of-line blocking is counted.
   bool progress = true;
-  while (progress) {
+  while (progress && queued_ != 0) {
     progress = false;
     for (int out = 0; out < num_ports(); ++out) {
+      if (config_.virtual_output_queues && !AnyReady(out)) {
+        continue;
+      }
       if (ForwardOneTo(out)) {
         progress = true;
       }
@@ -113,29 +152,58 @@ void FabricSwitch::Arbitrate() {
   }
 }
 
-bool FabricSwitch::HeadFor(int input, int out, QueuedFlit** head) {
-  InputPort& in = inputs_[input];
-  if (config_.virtual_output_queues) {
-    auto& q = in.queues[static_cast<std::size_t>(out)];
-    if (q.empty()) {
-      return false;
+std::deque<FabricSwitch::QueuedFlit>& FabricSwitch::QueueFor(int input, int out) {
+  auto& queues = inputs_[input].queues;
+  return config_.virtual_output_queues ? queues[static_cast<std::size_t>(out)] : queues[0];
+}
+
+const std::deque<FabricSwitch::QueuedFlit>& FabricSwitch::QueueFor(int input, int out) const {
+  const auto& queues = inputs_[input].queues;
+  return config_.virtual_output_queues ? queues[static_cast<std::size_t>(out)] : queues[0];
+}
+
+const FabricSwitch::QueuedFlit* FabricSwitch::HeadFor(int input, int out) const {
+  const auto& q = QueueFor(input, out);
+  return !q.empty() && q.front().out_port == out ? &q.front() : nullptr;
+}
+
+bool FabricSwitch::Ready(int out, int input) const {
+  return (outputs_[out].ready[static_cast<std::size_t>(input) / 64] >> (input % 64)) & 1u;
+}
+
+void FabricSwitch::SetReady(int out, int input) {
+  outputs_[out].ready[static_cast<std::size_t>(input) / 64] |= std::uint64_t{1} << (input % 64);
+}
+
+void FabricSwitch::ClearReady(int out, int input) {
+  outputs_[out].ready[static_cast<std::size_t>(input) / 64] &=
+      ~(std::uint64_t{1} << (input % 64));
+}
+
+bool FabricSwitch::AnyReady(int out) const {
+  for (const std::uint64_t word : outputs_[out].ready) {
+    if (word != 0) {
+      return true;
     }
-    *head = &q.front();
-    return true;
   }
-  auto& q = in.queues[0];
-  if (q.empty() || q.front().out_port != out) {
-    return false;
-  }
-  *head = &q.front();
-  return true;
+  return false;
 }
 
 void FabricSwitch::PopHead(int input, int out) {
-  InputPort& in = inputs_[input];
-  auto& q = config_.virtual_output_queues ? in.queues[static_cast<std::size_t>(out)]
-                                          : in.queues[0];
+  auto& q = QueueFor(input, out);
   q.pop_front();
+  --queued_;
+  if (config_.virtual_output_queues) {
+    if (q.empty()) {
+      ClearReady(out, input);
+    }
+    return;
+  }
+  // A single FIFO's next flit becomes the head, ready for its own output.
+  ClearReady(out, input);
+  if (!q.empty()) {
+    SetReady(q.front().out_port, input);
+  }
 }
 
 bool FabricSwitch::OutputCanAccept(int out, Channel channel) const {
@@ -162,54 +230,64 @@ bool FabricSwitch::ArrivesBefore(const QueuedFlit& a, const QueuedFlit& b) {
 }
 
 int FabricSwitch::PickInput(int out) {
-  // Gather candidate inputs whose head flit wants `out` and whose channel
-  // has room at the output.
+  // Every ready input's head wants `out`; a candidate also needs room for
+  // its channel at the output. Candidates are visited in rotation order
+  // from rr_next_input. A ready set never holds `out` itself: ReceiveFlit
+  // drops hairpins, so the crossbar never turns a flit around.
   int best = -1;
   const QueuedFlit* best_head = nullptr;
   int best_priority = 0;
   double best_weight = 0.0;
 
-  const int n = num_ports();
-  OutputPort& op = outputs_[out];
-  for (int i = 0; i < n; ++i) {
-    const int input = (op.rr_next_input + i) % n;
-    if (input == out) {
-      continue;  // no hairpin turnaround
+  const OutputPort& op = outputs_[out];
+  const int words = static_cast<int>(op.ready.size());
+  const int first_word = op.rr_next_input / 64;
+  const std::uint64_t from_start = ~std::uint64_t{0} << (op.rr_next_input % 64);
+  // The first word is visited twice: its bits from the rotation start on,
+  // then, after wrapping around, the bits before it.
+  for (int k = 0; k <= words; ++k) {
+    const int w = (first_word + k) % words;
+    std::uint64_t bits = op.ready[static_cast<std::size_t>(w)];
+    if (k == 0) {
+      bits &= from_start;
+    } else if (k == words) {
+      bits &= ~from_start;
     }
-    QueuedFlit* head = nullptr;
-    if (!HeadFor(input, out, &head)) {
-      continue;
-    }
-    if (!OutputCanAccept(out, head->flit.channel)) {
-      continue;
-    }
-    switch (config_.arbitration) {
-      case SwitchArbitration::kFifo:
-        if (best < 0 || ArrivesBefore(*head, *best_head)) {
-          best = input;
-          best_head = head;
-        }
-        break;
-      case SwitchArbitration::kRoundRobin:
-        // First hit in rotation order wins.
-        return input;
-      case SwitchArbitration::kWeighted: {
-        const double w = inputs_[input].weight;
-        if (best < 0 || w > best_weight) {
-          best = input;
-          best_weight = w;
-        }
-        break;
+    for (; bits != 0; bits &= bits - 1) {
+      const int input = w * 64 + std::countr_zero(bits);
+      const QueuedFlit* head = HeadFor(input, out);
+      assert(head != nullptr && input != out);
+      if (!OutputCanAccept(out, head->flit.channel)) {
+        continue;
       }
-      case SwitchArbitration::kPriority: {
-        const int p = PriorityOf(head->flit.src);
-        if (best < 0 || p > best_priority ||
-            (p == best_priority && ArrivesBefore(*head, *best_head))) {
-          best = input;
-          best_priority = p;
-          best_head = head;
+      switch (config_.arbitration) {
+        case SwitchArbitration::kFifo:
+          if (best < 0 || ArrivesBefore(*head, *best_head)) {
+            best = input;
+            best_head = head;
+          }
+          break;
+        case SwitchArbitration::kRoundRobin:
+          // First hit in rotation order wins.
+          return input;
+        case SwitchArbitration::kWeighted: {
+          const double weight = inputs_[input].weight;
+          if (best < 0 || weight > best_weight) {
+            best = input;
+            best_weight = weight;
+          }
+          break;
         }
-        break;
+        case SwitchArbitration::kPriority: {
+          const int p = PriorityOf(head->flit.src);
+          if (best < 0 || p > best_priority ||
+              (p == best_priority && ArrivesBefore(*head, *best_head))) {
+            best = input;
+            best_priority = p;
+            best_head = head;
+          }
+          break;
+        }
       }
     }
   }
@@ -243,18 +321,14 @@ bool FabricSwitch::ForwardOneTo(int out) {
     return false;
   }
 
-  QueuedFlit* head = nullptr;
-  const bool ok = HeadFor(input, out, &head);
-  assert(ok);
-  (void)ok;
-  Flit flit = head->flit;
-  const Tick waited = engine_->Now() - head->arrival;
+  QueuedFlit& head = QueueFor(input, out).front();
+  Flit flit = std::move(head.flit);
+  const Tick waited = engine_->Now() - head.arrival;
   PopHead(input, out);
 
   outputs_[out].rr_next_input = (input + 1) % num_ports();
   outputs_[out].reserved[static_cast<int>(flit.channel)]++;
   inputs_[input].forwarded_this_period++;
-  inputs_[input].had_backlog = true;
 
   // The input buffer slot frees as soon as the flit enters the crossbar
   // (cut-through), so return the upstream credit now.
@@ -263,7 +337,7 @@ bool FabricSwitch::ForwardOneTo(int out) {
   stats_.queueing_ns.Add(ToNs(waited));
   ++stats_.flits_forwarded;
 
-  engine_->Schedule(config_.port_latency, [this, out, flit] {
+  engine_->Schedule(config_.port_latency, [this, out, flit = std::move(flit)] {
     outputs_[out].reserved[static_cast<int>(flit.channel)]--;
     const bool sent = ports_[out]->Send(flit);
     if (!sent) {

@@ -21,6 +21,7 @@
 
 #include "src/fabric/flit.h"
 #include "src/fabric/link.h"
+#include "src/sim/audit.h"
 #include "src/sim/engine.h"
 #include "src/sim/metrics.h"
 #include "src/sim/stats.h"
@@ -54,7 +55,8 @@ struct SwitchConfig {
   CreditAllocPolicy credit_alloc = CreditAllocPolicy::kStatic;
 
   // Exponential ramp-up parameters: every period, an input's weight doubles
-  // when it kept its backlog nonempty and halves otherwise.
+  // when it forwarded at least as many flits as the average input that
+  // forwarded any, and halves otherwise, within [min_weight, max_weight].
   Tick credit_realloc_period = FromNs(1000.0);
   double max_weight = 64.0;
   double min_weight = 1.0;
@@ -65,7 +67,10 @@ struct SwitchStats {
   std::uint64_t flits_dropped = 0;       // output link failed mid-crossbar, or
                                          // a post-reroute hairpin (route points
                                          // back out the arrival port)
-  std::uint64_t hol_blocked_events = 0;  // head blocked while a later flit could go
+  // Single-FIFO inputs only: +1 per input whose head is blocked while a later
+  // flit in its queue could go, for every output visit that found no winner,
+  // on every arbitration pass.
+  std::uint64_t hol_blocked_events = 0;
   Summary queueing_ns;                   // input-buffer residency per flit
 
   void BindTo(MetricGroup& group, const std::string& prefix = "") const;
@@ -121,9 +126,7 @@ class FabricSwitch : public FlitReceiver {
     // Non-VOQ mode uses queues[0]; VOQ mode uses one queue per output port.
     std::vector<std::deque<QueuedFlit>> queues;
     double weight = 1.0;
-    double deficit = 0.0;
     std::uint64_t forwarded_this_period = 0;
-    bool had_backlog = false;
   };
 
   struct OutputPort {
@@ -131,15 +134,26 @@ class FabricSwitch : public FlitReceiver {
     // Tx-queue slots reserved by flits in flight across the crossbar, per
     // channel, so we never over-commit endpoint queues.
     std::uint32_t reserved[kNumChannels] = {0, 0, 0, 0};
+    // Ready set: bit i is set exactly when HeadFor(i, this output) is
+    // non-null, in as many 64-bit words as the port count needs.
+    std::vector<std::uint64_t> ready;
   };
 
   void ScheduleArbitration();
   void Arbitrate();
   // Attempts to forward one flit to `out`. Returns true if a flit moved.
   bool ForwardOneTo(int out);
-  // Picks the input whose head (for `out`) should win, or -1.
+  // Picks the ready input whose head (for `out`) should win, or -1.
   int PickInput(int out);
-  bool HeadFor(int input, int out, QueuedFlit** head);
+  // The queue holding `input`'s flits for `out`: its VOQ, or its one FIFO.
+  std::deque<QueuedFlit>& QueueFor(int input, int out);
+  const std::deque<QueuedFlit>& QueueFor(int input, int out) const;
+  // `input`'s head flit when it is bound for `out`, else null.
+  const QueuedFlit* HeadFor(int input, int out) const;
+  bool Ready(int out, int input) const;
+  void SetReady(int out, int input);
+  void ClearReady(int out, int input);
+  bool AnyReady(int out) const;
   void PopHead(int input, int out);
   bool OutputCanAccept(int out, Channel channel) const;
   void ReallocateCredits();
@@ -157,8 +171,12 @@ class FabricSwitch : public FlitReceiver {
   Tick next_realloc_ = 0;
   bool arb_scheduled_ = false;
   std::uint64_t arrival_counter_ = 0;
+  std::uint64_t queued_ = 0;  // flits in all input queues
   SwitchStats stats_;
   MetricGroup metrics_;
+  AuditScope audit_;  // last: its checks read everything above
+
+  friend class AuditTestPeer;
 };
 
 }  // namespace unifab

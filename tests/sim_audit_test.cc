@@ -27,6 +27,7 @@
 #include "src/fabric/dispatch.h"
 #include "src/fabric/interconnect.h"
 #include "src/fabric/link.h"
+#include "src/fabric/switch.h"
 #include "src/sim/engine.h"
 #include "src/sim/stats.h"
 #include "src/topo/cluster.h"
@@ -46,6 +47,11 @@ class AuditTestPeer {
   static std::uint64_t& LinkAccepted(Link& l, int sender_side) {
     return l.dirs_[sender_side].stats.flits_accepted;
   }
+
+  static std::uint64_t& SwitchReadyWord(FabricSwitch& s, int out, int word) {
+    return s.outputs_[static_cast<std::size_t>(out)].ready[static_cast<std::size_t>(word)];
+  }
+  static std::uint64_t& SwitchQueued(FabricSwitch& s) { return s.queued_; }
 
   static void SeedStaleMshr(HostAdapter& a, std::uint64_t txn_id) {
     HostAdapter::OutstandingTxn txn;
@@ -213,6 +219,29 @@ TEST(SeededViolationTest, BridgeFlitConservation) {
   EXPECT_TRUE(AnyPathEndsWith(engine.audit().Sweep(),
                               "fabric/bridge/b0/flits_conserved"));
   --accepted;
+  EXPECT_TRUE(engine.audit().Sweep().empty());
+}
+
+TEST(SeededViolationTest, SwitchReadySetExact) {
+  Engine engine;
+  FabricSwitch sw(&engine, SwitchConfig{}, "sw0");
+  Link a(&engine, LinkConfig{}, 1, "a");
+  Link b(&engine, LinkConfig{}, 2, "b");
+  sw.AttachPort(&a.end(0));
+  sw.AttachPort(&b.end(0));
+  EXPECT_TRUE(engine.audit().Sweep().empty());
+
+  // A stale bit: input 0 offered to output 1 with nothing queued.
+  std::uint64_t& word = AuditTestPeer::SwitchReadyWord(sw, /*out=*/1, /*word=*/0);
+  word |= 1u;
+  EXPECT_TRUE(AnyPathEndsWith(engine.audit().Sweep(), "fabric/switch/sw0/ready_set_exact"));
+  word &= ~std::uint64_t{1};
+  EXPECT_TRUE(engine.audit().Sweep().empty());
+
+  // The queued-flit count drifts off the queues it summarizes.
+  ++AuditTestPeer::SwitchQueued(sw);
+  EXPECT_TRUE(AnyPathEndsWith(engine.audit().Sweep(), "fabric/switch/sw0/ready_set_exact"));
+  --AuditTestPeer::SwitchQueued(sw);
   EXPECT_TRUE(engine.audit().Sweep().empty());
 }
 
