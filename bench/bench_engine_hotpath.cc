@@ -53,11 +53,11 @@ constexpr PrePrBaseline kBaseline = {
 
 // Single-thread (1 worker) events/sec floors for the domain-sharded sweep
 // workloads, measured on this container after the sharded-engine change and
-// recorded deliberately conservative (~30% below the median of 3), mirroring
-// bench/baseline/engine_micro_floor.txt. The 1-worker runs are gated at 0.8x
-// of these on every box; the >=4x parallel-speedup bar divides the
-// multi-worker events/sec by these same floors, and is enforced only where
-// the hardware can express it (>= 8 cores).
+// recorded deliberately conservative (~30% below the median of 3). The
+// 1-worker runs are gated at 0.8x of these on every box; the >=4x
+// parallel-speedup bar divides the multi-worker events/sec by these same
+// floors, and is enforced only where the hardware can express it (>= 8
+// cores).
 struct ParallelFloor {
   double fig1_eps;
   double mix_eps;
@@ -386,10 +386,9 @@ int main(int argc, char** argv) {
                 dq_speedup, sf_speedup);
 
     // Shard-sweep gates. The 1-worker runs hold the recorded single-thread
-    // floors (20% regression budget, like the engine-micro floor gate). The
-    // >=4x parallel bar needs cores to scale onto, so it is enforced only on
-    // >= 8 hardware threads and reported informationally elsewhere (this
-    // dev container has 1 CPU).
+    // floors (20% regression budget). The >=4x parallel bar needs cores to
+    // scale onto, so it is enforced only on >= 8 hardware threads and
+    // reported informationally elsewhere.
     if (fig1_w1_eps < 0.8 * kParFloor.fig1_eps || mix_w1_eps < 0.8 * kParFloor.mix_eps) {
       std::fprintf(stderr,
                    "FAIL: 1-worker sharded throughput regressed >20%% below floor "

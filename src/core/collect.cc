@@ -224,7 +224,7 @@ ArbiterClient* CollectiveEngine::ReservationClient(const std::shared_ptr<Active>
 }
 
 void CollectiveEngine::ReserveThenLaunch(const std::shared_ptr<Active>& ac) {
-  ArbiterClient* client = config_.reserve_bandwidth ? ReservationClient(ac) : nullptr;
+  ArbiterClient* client = ReservationClient(ac);
   if (client == nullptr) {
     LaunchReady(ac);
     return;

@@ -74,7 +74,6 @@ struct CollectiveConfig {
   // the schedule before launch (released at completion, renewed at the
   // lease cadence while running). Denied reservations are counted but do
   // not block the collective — progress beats precision under contention.
-  bool reserve_bandwidth = true;
   double reserve_mbps = 2000.0;
 
   // Step-level retry budget on top of eTrans's own per-transfer retries:

@@ -250,6 +250,8 @@ TEST_F(ETransTest, TransientLinkFailureRecoversViaRetry) {
   const auto& rec = runtime_.etrans()->recovery_stats();
   EXPECT_EQ(rec.jobs_recovered, 1u);
   EXPECT_GE(rec.retries, 1u);
+  // Every retry reroutes first.
+  EXPECT_EQ(rec.reroutes, rec.retries);
   EXPECT_EQ(rec.jobs_aborted, 0u);
   EXPECT_EQ(rec.time_to_recover_us.Count(), 1u);
 }
