@@ -15,15 +15,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/core/runtime.h"
 #include "src/sim/engine.h"
-#include "src/sim/random.h"
 #include "src/topo/cluster.h"
 
 namespace {
@@ -49,22 +44,6 @@ constexpr PrePrBaseline kBaseline = {
     /*deep_queue_eps=*/4.69e6,
     /*cancel_churn_eps=*/1.77e6,
     /*fig1_closed_loop_wall_ms=*/158.0,
-};
-
-// Single-thread (1 worker) events/sec floors for the domain-sharded sweep
-// workloads, measured on this container after the sharded-engine change and
-// recorded deliberately conservative (~30% below the median of 3). The
-// 1-worker runs are gated at 0.8x of these on every box; the >=4x
-// parallel-speedup bar divides the multi-worker events/sec by these same
-// floors, and is enforced only where the hardware can express it (>= 8
-// cores).
-struct ParallelFloor {
-  double fig1_eps;
-  double mix_eps;
-};
-constexpr ParallelFloor kParFloor = {
-    /*fig1_eps=*/2.5e6,
-    /*mix_eps=*/1.6e6,
 };
 
 double WallSeconds(std::chrono::steady_clock::time_point t0) {
@@ -158,14 +137,13 @@ struct CoreDriver {
   }
 };
 
-double RunFig1ClosedLoop(std::uint64_t per_core, int workers, std::uint64_t* fired_out,
+double RunFig1ClosedLoop(std::uint64_t per_core, std::uint64_t* fired_out,
                          std::uint64_t* loads_out) {
   ClusterConfig cfg;
   cfg.num_hosts = 2;
   cfg.num_fams = 2;
   cfg.num_faas = 1;
   cfg.num_switches = 2;
-  cfg.shard_workers = workers;  // pin: don't let UNIFAB_SHARDS skew the bench
   Cluster cluster(cfg);
 
   std::vector<CoreDriver> drivers;
@@ -191,73 +169,6 @@ double RunFig1ClosedLoop(std::uint64_t per_core, int workers, std::uint64_t* fir
   }
   *fired_out = cluster.engine().TotalFired();
   *loads_out = loads;
-  return wall;
-}
-
-// Workload 5 — multi-chassis eTrans + unified-heap mix: two hosts running
-// zipf-skewed closed-loop heap reads against fabric-resident objects while
-// two rotating 1 MiB eTrans bulk copies hop between four FAM chassis. With
-// shard_by_domain this spreads over 7 shards (root + 2 switches + 4 FAMs),
-// so it is the shard-scaling counterpart of the runtime-heavy benches.
-double RunEtransHeapMix(Tick horizon, int workers, std::uint64_t* fired_out) {
-  ClusterConfig cfg;
-  cfg.num_hosts = 2;
-  cfg.num_fams = 4;
-  cfg.num_faas = 1;
-  cfg.num_switches = 2;
-  cfg.shard_workers = workers;
-  Cluster cluster(cfg);
-
-  RuntimeOptions opts;
-  opts.heap_local_bytes = 2ULL << 20;  // working set >> fast tier
-  UniFabricRuntime runtime(&cluster, opts);
-
-  constexpr int kObjects = 16384;
-  std::vector<ObjectId> objects[2];
-  ZipfGenerator zipf0(11, 0.9, kObjects);
-  ZipfGenerator zipf1(13, 0.9, kObjects);
-  ZipfGenerator* zipfs[2] = {&zipf0, &zipf1};
-  for (int h = 0; h < 2; ++h) {
-    objects[h].reserve(kObjects);
-    for (int i = 0; i < kObjects; ++i) {
-      objects[h].push_back(runtime.heap(h)->Allocate(256, /*tier=*/1));
-    }
-  }
-
-  std::uint64_t reads = 0;
-  auto loop = std::make_shared<std::function<void(int)>>();
-  *loop = [&runtime, &objects, &zipfs, &reads, loop](int h) {
-    const ObjectId id = objects[h][zipfs[h]->Next()];
-    runtime.heap(h)->Read(id, [&reads, loop, h] {
-      ++reads;
-      (*loop)(h);
-    });
-  };
-  for (int h = 0; h < 2; ++h) {
-    for (int i = 0; i < 4; ++i) {  // four reader threads per host
-      (*loop)(h);
-    }
-  }
-
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&cluster, &runtime, pump](int lane) {
-    ETransDescriptor desc;
-    const int src = lane % cluster.num_fams();
-    const int dst = (lane + 1) % cluster.num_fams();
-    desc.src.push_back(Segment{cluster.fam(src)->id(), 8ULL << 20, 1ULL << 20});
-    desc.dst.push_back(Segment{cluster.fam(dst)->id(), 12ULL << 20, 1ULL << 20});
-    desc.ownership = Ownership::kInitiator;
-    runtime.etrans()
-        ->Submit(runtime.host_agent(lane % 2), desc)
-        .Then([pump, lane](const TransferResult&) { (*pump)(lane + 2); });
-  };
-  (*pump)(0);
-  (*pump)(1);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  cluster.engine().RunUntil(horizon);
-  const double wall = WallSeconds(t0);
-  *fired_out = cluster.engine().TotalFired();
   return wall;
 }
 
@@ -311,7 +222,7 @@ int main(int argc, char** argv) {
   Report(&report, "cancel_churn", wall, fired, kBaseline.cancel_churn_eps, nullptr);
 
   std::uint64_t loads = 0;
-  wall = RunFig1ClosedLoop(2000, /*workers=*/1, &fired, &loads);
+  wall = RunFig1ClosedLoop(2000, &fired, &loads);
   Report(&report, "fig1_closed_loop", wall, fired, 0.0, nullptr);
   report.Note("fig1_closed_loop/loads_completed", loads);
   if (kBaseline.fig1_closed_loop_wall_ms > 0.0) {
@@ -321,43 +232,6 @@ int main(int argc, char** argv) {
                 loads, kBaseline.fig1_closed_loop_wall_ms / (wall * 1e3),
                 kBaseline.fig1_closed_loop_wall_ms);
   }
-
-  // Shard-scaling sweep (DESIGN.md §6e): the same fixed domain partition
-  // executed by 1/2/4/8 worker threads. Simulated work is identical in every
-  // configuration, so events/sec ratios are pure parallel speedup.
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("shard sweep (%u hardware threads):\n", cores);
-  double fig1_w1_eps = 0.0;
-  double mix_w1_eps = 0.0;
-  double fig1_best_speedup = 0.0;
-  double mix_best_speedup = 0.0;
-  for (int workers : {1, 2, 4, 8}) {
-    std::uint64_t sweep_loads = 0;
-    const double fig1_wall = RunFig1ClosedLoop(1000, workers, &fired, &sweep_loads);
-    const double fig1_eps = fig1_wall > 0.0 ? static_cast<double>(fired) / fig1_wall : 0.0;
-    std::uint64_t mix_fired = 0;
-    const double mix_wall = RunEtransHeapMix(FromMs(10.0), workers, &mix_fired);
-    const double mix_eps = mix_wall > 0.0 ? static_cast<double>(mix_fired) / mix_wall : 0.0;
-    if (workers == 1) {
-      fig1_w1_eps = fig1_eps;
-      mix_w1_eps = mix_eps;
-    }
-    const double fig1_speedup = fig1_eps / kParFloor.fig1_eps;
-    const double mix_speedup = mix_eps / kParFloor.mix_eps;
-    fig1_best_speedup = fig1_speedup > fig1_best_speedup ? fig1_speedup : fig1_best_speedup;
-    mix_best_speedup = mix_speedup > mix_best_speedup ? mix_speedup : mix_best_speedup;
-    std::printf("  %d worker(s): fig1 %8.2f M events/s (%.2fx floor)   mix %8.2f M events/s "
-                "(%.2fx floor)\n",
-                workers, fig1_eps / 1e6, fig1_speedup, mix_eps / 1e6, mix_speedup);
-    const std::string prefix = "shard_sweep/workers" + std::to_string(workers);
-    report.Note(prefix + "/fig1_events", fired);
-    report.Perf(prefix + "/fig1_events_per_sec", fig1_eps);
-    report.Note(prefix + "/mix_events", mix_fired);
-    report.Perf(prefix + "/mix_events_per_sec", mix_eps);
-  }
-  report.Note("shard_sweep/hardware_threads", static_cast<std::uint64_t>(cores));
-  report.Note("shard_sweep/fig1_floor_events_per_sec", kParFloor.fig1_eps);
-  report.Note("shard_sweep/mix_floor_events_per_sec", kParFloor.mix_eps);
 
   // Pre-overhaul bench_engine_micro (google-benchmark) reference points,
   // recorded here so the acceptance comparison lives in one artifact.
@@ -384,34 +258,6 @@ int main(int argc, char** argv) {
     }
     std::printf("enforce: deep_queue %.2fx >= 2.0x (schedule_fire %.2fx, informational)\n",
                 dq_speedup, sf_speedup);
-
-    // Shard-sweep gates. The 1-worker runs hold the recorded single-thread
-    // floors (20% regression budget). The >=4x parallel bar needs cores to
-    // scale onto, so it is enforced only on >= 8 hardware threads and
-    // reported informationally elsewhere.
-    if (fig1_w1_eps < 0.8 * kParFloor.fig1_eps || mix_w1_eps < 0.8 * kParFloor.mix_eps) {
-      std::fprintf(stderr,
-                   "FAIL: 1-worker sharded throughput regressed >20%% below floor "
-                   "(fig1 %.2fM vs %.2fM, mix %.2fM vs %.2fM events/s)\n",
-                   fig1_w1_eps / 1e6, kParFloor.fig1_eps / 1e6, mix_w1_eps / 1e6,
-                   kParFloor.mix_eps / 1e6);
-      return 1;
-    }
-    if (cores >= 8) {
-      if (fig1_best_speedup < 4.0 || mix_best_speedup < 4.0) {
-        std::fprintf(stderr,
-                     "FAIL: shard sweep best speedup %.2fx (fig1) / %.2fx (mix) < 4.0x "
-                     "required on %u hardware threads\n",
-                     fig1_best_speedup, mix_best_speedup, cores);
-        return 1;
-      }
-      std::printf("enforce: shard sweep fig1 %.2fx, mix %.2fx >= 4.0x over 1-thread floor\n",
-                  fig1_best_speedup, mix_best_speedup);
-    } else {
-      std::printf("enforce: shard sweep 4x bar skipped (%u hardware thread(s) < 8); "
-                  "best fig1 %.2fx, mix %.2fx over floor (informational)\n",
-                  cores, fig1_best_speedup, mix_best_speedup);
-    }
   }
   return 0;
 }

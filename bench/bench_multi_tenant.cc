@@ -15,7 +15,7 @@
 //     a recorded bound of its quiet baseline; the bench fails otherwise.
 //
 // Everything is deterministic DES: the JSON report is golden-gated and must
-// be bit-identical under UNIFAB_SHARDS=1 and =4.
+// be bit-identical run to run, audited or not.
 
 #include <cstdio>
 #include <string>

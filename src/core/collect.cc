@@ -61,17 +61,13 @@ CollectiveEngine::CollectiveEngine(Engine* engine, ETransEngine* etrans,
   });
 }
 
-void CollectiveEngine::RegisterMember(PbrId node, MigrationAgent* agent, bool shard_local) {
-  members_[node] = MemberAgent{agent, shard_local};
+void CollectiveEngine::RegisterMember(PbrId node, MigrationAgent* agent) {
+  members_[node] = agent;
 }
 
 MigrationAgent* CollectiveEngine::AgentFor(PbrId node) const {
-  // Only shard-local agents may be driven directly (reservation callbacks,
-  // ExecuteTransfer). A domain-remote member's agent is reachable solely as
-  // a delegated eTrans executor, so callers see "no agent" for it and fall
-  // back — deterministically, independent of how many shards are running.
   auto it = members_.find(node);
-  return it == members_.end() || !it->second.shard_local ? nullptr : it->second.agent;
+  return it == members_.end() ? nullptr : it->second;
 }
 
 int CollectiveEngine::SpanOf(const CollectiveGroup& group) const {

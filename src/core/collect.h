@@ -122,15 +122,10 @@ class CollectiveEngine {
   CollectiveEngine& operator=(const CollectiveEngine&) = delete;
 
   // Maps a member node to the migration agent that initiates its outbound
-  // transfers (the runtime wires every host/FAM/FAA agent here).
-  // `shard_local` marks agents whose control adapter shares this engine's
-  // fabric domain (hosts, FAAs). Agents homed in another domain — FAM
-  // controllers, which own their own DES shard when sharding is on — are
-  // never called into directly: their arbiter callbacks would fire on the
-  // remote shard, and a direct ExecuteTransfer would mutate remote adapter
-  // state mid-window. Such members initiate through the fallback agent and
-  // participate in data movement as delegated eTrans executors only.
-  void RegisterMember(PbrId node, MigrationAgent* agent, bool shard_local = true);
+  // transfers (the runtime wires every host and FAA agent here). A member
+  // with no registered agent — a FAM chassis — initiates through the
+  // fallback agent and moves data only as a delegated eTrans executor.
+  void RegisterMember(PbrId node, MigrationAgent* agent);
 
   // Used when a member's own agent cannot execute a step transfer (e.g. a
   // FAM controller pushing to a remote node): typically a host agent.
@@ -210,11 +205,7 @@ class CollectiveEngine {
   ETransEngine* etrans_;
   FabricInterconnect* fabric_;
   CollectiveConfig config_;
-  struct MemberAgent {
-    MigrationAgent* agent = nullptr;
-    bool shard_local = true;
-  };
-  std::unordered_map<PbrId, MemberAgent> members_;
+  std::unordered_map<PbrId, MigrationAgent*> members_;
   MigrationAgent* fallback_ = nullptr;
   std::uint64_t next_id_ = 1;
   // Admission control: how many admitted unfinished collectives each node

@@ -8,9 +8,8 @@
 // and hands the policy only a bounded, deterministically merged candidate
 // list: the per-shard top promote/demote candidates, merged across shards
 // in (temperature, id) order. The shard count is a profiling parameter,
-// fixed by configuration — it is deliberately independent of the engine's
-// UNIFAB_SHARDS worker count, so fold results (and hence run digests) are
-// identical for any worker pool.
+// fixed by configuration, so fold results (and hence run digests) depend
+// only on it and the access stream.
 //
 // Storage. Object id `id` lives in shard `id % shards`, at slot `id /
 // shards` of that shard's slot vector; a freed slot stays as a tombstone.
@@ -50,7 +49,7 @@
 namespace unifab {
 
 struct ProfilerConfig {
-  int shards = 8;  // fixed profiling partition; NOT the engine worker count
+  int shards = 8;  // fixed profiling partition
   // Per shard and per direction (hot/cold), at most this many candidates
   // survive a fold. Large enough that small/medium heaps behave exactly
   // like the unbounded legacy snapshot.

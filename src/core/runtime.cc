@@ -99,14 +99,9 @@ UniFabricRuntime::UniFabricRuntime(Cluster* cluster, const RuntimeOptions& optio
     collect_->RegisterMember(cluster->host(h)->id(),
                              host_agents_[static_cast<std::size_t>(h)].get());
   }
-  for (int f = 0; f < cluster->num_fams(); ++f) {
-    // FAM chassis own their fabric domain (and DES shard): their agents'
-    // grant callbacks fire on that shard, so the collective engine must not
-    // drive them directly — they serve as delegated executors only.
-    collect_->RegisterMember(cluster->fam(f)->id(),
-                             fam_agents_[static_cast<std::size_t>(f)].get(),
-                             /*shard_local=*/false);
-  }
+  // FAM agents are not collective members: a FAM member's step transfers
+  // are initiated by the fallback agent, with the FAM agent serving only as
+  // a delegated eTrans executor for chassis-local work.
   for (int a = 0; a < cluster->num_faas(); ++a) {
     collect_->RegisterMember(cluster->faa(a)->id(),
                              faa_agents_[static_cast<std::size_t>(a)].get());
@@ -132,9 +127,8 @@ UniFabricRuntime::UniFabricRuntime(Cluster* cluster, const RuntimeOptions& optio
     FamChassis* fam = cluster->fam(0);
     const std::uint64_t win_base =
         cluster->FamBase(0) + fam->expander()->CreateCoherentWindow(options.coherent_window_bytes);
-    // The directory is device logic: it runs on the chassis's own engine
-    // shard (its deadline events must be locally cancellable) and speaks
-    // through the chassis FEA dispatcher.
+    // The directory is device logic: it speaks through the chassis FEA
+    // dispatcher.
     coherent_directory_ = std::make_unique<CoherentDirectory>(
         fam->engine(), options.coherent, fam->dispatcher(), fam->expander(), fam->name());
     coherent_window_ = std::make_unique<CoherentWindow>(coherent_directory_.get(), win_base,

@@ -7,9 +7,8 @@
 // not part of any pod's CXL credit pool). BridgeLink models that hop by
 // mapping bridge vocabulary (frames, windows, retransmit) onto the audited
 // Link flit pipeline, so everything built on links — routing, fault
-// injection, sharded cross-engine delivery, conservation audits — works on
-// bridges unchanged, while the bridge keeps its own accounting and audit
-// scope under fabric/bridge/<name>.
+// injection, conservation audits — works on bridges unchanged, while the
+// bridge keeps its own accounting and audit scope under fabric/bridge/<name>.
 
 #ifndef SRC_FABRIC_BRIDGE_H_
 #define SRC_FABRIC_BRIDGE_H_
@@ -48,7 +47,7 @@ struct BridgeConfig {
 };
 
 // The Ethernet inter-pod hop. A Link in every structural respect (routing,
-// endpoints, Fail/Recover, cross-engine delivery) plus a bridge-scoped
+// endpoints, Fail/Recover, flit delivery) plus a bridge-scoped
 // conservation audit: fabric/bridge/<name>/flits_conserved requires
 // accepted == delivered + dropped + retransmit-pending + queued per
 // direction at every sweep.

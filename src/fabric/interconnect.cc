@@ -14,7 +14,6 @@ int FabricInterconnect::AddNode(FabricSwitch* sw, AdapterBase* adapter, std::uin
   Node n;
   n.sw = sw;
   n.adapter = adapter;
-  n.eng = component_engine();
   n.domain = domain;
   nodes_.push_back(std::move(n));
   node_index_[sw != nullptr ? static_cast<const void*>(sw) : static_cast<const void*>(adapter)] =
@@ -36,7 +35,7 @@ PbrId FabricInterconnect::AllocatePbrId(std::uint16_t domain) {
 
 FabricSwitch* FabricInterconnect::AddSwitch(const SwitchConfig& config, const std::string& name,
                                             std::uint16_t domain) {
-  switches_.push_back(std::make_unique<FabricSwitch>(component_engine(), config, name));
+  switches_.push_back(std::make_unique<FabricSwitch>(engine_, config, name));
   FabricSwitch* sw = switches_.back().get();
   AddNode(sw, nullptr, domain);
   routed_ = false;
@@ -46,7 +45,7 @@ FabricSwitch* FabricInterconnect::AddSwitch(const SwitchConfig& config, const st
 HostAdapter* FabricInterconnect::AddHostAdapter(const AdapterConfig& config,
                                                 const std::string& name, std::uint16_t domain) {
   const PbrId id = AllocatePbrId(domain);
-  auto adapter = std::make_unique<HostAdapter>(component_engine(), config, id, name);
+  auto adapter = std::make_unique<HostAdapter>(engine_, config, id, name);
   HostAdapter* raw = adapter.get();
   adapters_.push_back(std::move(adapter));
   AddNode(nullptr, raw, domain);
@@ -60,7 +59,7 @@ EndpointAdapter* FabricInterconnect::AddEndpointAdapter(const AdapterConfig& con
                                                         FabricTarget* target,
                                                         std::uint16_t domain) {
   const PbrId id = AllocatePbrId(domain);
-  auto adapter = std::make_unique<EndpointAdapter>(component_engine(), config, id, name, target);
+  auto adapter = std::make_unique<EndpointAdapter>(engine_, config, id, name, target);
   EndpointAdapter* raw = adapter.get();
   adapters_.push_back(std::move(adapter));
   AddNode(nullptr, raw, domain);
@@ -74,17 +73,6 @@ void FabricInterconnect::AddEdge(int a, int port_a, int b, int port_b, Link* lin
   nodes_[b].edges.push_back(Edge{a, port_b, link});
 }
 
-void FabricInterconnect::BindLinkEngines(Link* link, int node_a, int node_b) {
-  Engine* ea = nodes_[node_a].eng;
-  Engine* eb = nodes_[node_b].eng;
-  link->SetSideEngines(ea, eb);
-  if (ea != eb && link->MinCrossLatency() < min_cross_latency_) {
-    // This link is a shard boundary; its latency bounds how aggressively a
-    // ShardedEngine may open lookahead windows.
-    min_cross_latency_ = link->MinCrossLatency();
-  }
-}
-
 Link* FabricInterconnect::Connect(FabricSwitch* a, FabricSwitch* b, const LinkConfig& config) {
   links_.push_back(std::make_unique<Link>(engine_, config, seed_ + ++link_counter_,
                                           a->name() + "<->" + b->name()));
@@ -94,7 +82,6 @@ Link* FabricInterconnect::Connect(FabricSwitch* a, FabricSwitch* b, const LinkCo
   const int na = NodeIndexOf(a);
   const int nb = NodeIndexOf(b);
   AddEdge(na, pa, nb, pb, link);
-  BindLinkEngines(link, na, nb);
   if (nodes_[na].domain != nodes_[nb].domain) {
     ++hbr_links_;
   }
@@ -112,7 +99,6 @@ BridgeLink* FabricInterconnect::ConnectBridge(FabricSwitch* a, FabricSwitch* b,
   const int na = NodeIndexOf(a);
   const int nb = NodeIndexOf(b);
   AddEdge(na, pa, nb, pb, link);
-  BindLinkEngines(link, na, nb);
   if (nodes_[na].domain != nodes_[nb].domain) {
     ++hbr_links_;
   }
@@ -131,7 +117,6 @@ Link* FabricInterconnect::Connect(FabricSwitch* sw, AdapterBase* adapter,
   const int ns = NodeIndexOf(sw);
   const int na = NodeIndexOf(adapter);
   AddEdge(ns, ps, na, 0, link);
-  BindLinkEngines(link, ns, na);
   routed_ = false;
   return link;
 }
@@ -145,19 +130,11 @@ Link* FabricInterconnect::ConnectDirect(AdapterBase* a, AdapterBase* b, const Li
   const int na = NodeIndexOf(a);
   const int nb = NodeIndexOf(b);
   AddEdge(na, 0, nb, 0, link);
-  BindLinkEngines(link, na, nb);
   routed_ = false;
   return link;
 }
 
 void FabricInterconnect::ConfigureRouting() {
-  if (Engine::InShardedWindow()) {
-    // Routing tables are read by every switch shard; rebuilding them while
-    // windows run would race. Re-run as a global barrier event at this
-    // tick (reroute-after-failure paths land here via fault callbacks).
-    Engine::CurrentShard()->ScheduleGlobal(0, [this] { ConfigureRouting(); });
-    return;
-  }
   // Rebuild from scratch so stale routes (e.g. over a failed link) vanish.
   for (const auto& node : nodes_) {
     if (node.sw != nullptr) {

@@ -32,15 +32,6 @@ class FabricInterconnect {
 
   // --- Topology construction -------------------------------------------
 
-  // Shard affinity for subsequently added switches/adapters: components
-  // constructed while an engine is set live on that engine (a shard of a
-  // ShardedEngine); pass nullptr to return to the default engine. Sticky,
-  // wiring-time only. Orthogonal to the PBR `domain` routing parameter.
-  void SetComponentEngine(Engine* engine) { component_engine_ = engine; }
-  Engine* component_engine() const {
-    return component_engine_ != nullptr ? component_engine_ : engine_;
-  }
-
   FabricSwitch* AddSwitch(const SwitchConfig& config, const std::string& name,
                           std::uint16_t domain = 0);
 
@@ -60,7 +51,7 @@ class FabricInterconnect {
   // Wires two pod gateway switches with an Ethernet bridge (DESIGN.md §11):
   // its own flow-control window, frame loss with retransmit, microsecond
   // propagation. Bridges between pods are HBR links like any cross-domain
-  // switch trunk; routing, faults, and shard binding treat them as links.
+  // switch trunk; routing and faults treat them as links.
   BridgeLink* ConnectBridge(FabricSwitch* a, FabricSwitch* b, const BridgeConfig& config);
 
   // --- Fabric-manager duties -------------------------------------------
@@ -91,11 +82,6 @@ class FabricInterconnect {
   // -1 when unreachable.
   int HopCount(PbrId from, PbrId to) const;
 
-  // Minimum latency over every link whose two sides live on different
-  // engines — the conservative lookahead bound for a ShardedEngine driving
-  // this fabric. kTickNever when no link crosses an engine boundary.
-  Tick MinCrossEngineLatency() const { return min_cross_latency_; }
-
   // Human-readable topology dump used by the Figure-1 bench.
   std::string TopologyToString() const;
 
@@ -112,7 +98,6 @@ class FabricInterconnect {
   struct Node {
     FabricSwitch* sw = nullptr;
     AdapterBase* adapter = nullptr;
-    Engine* eng = nullptr;  // the engine driving this component
     std::uint16_t domain = 0;
     std::vector<Edge> edges;
   };
@@ -121,11 +106,8 @@ class FabricInterconnect {
   int AddNode(FabricSwitch* sw, AdapterBase* adapter, std::uint16_t domain);
   void AddEdge(int a, int port_a, int b, int port_b, Link* link);
   PbrId AllocatePbrId(std::uint16_t domain);
-  void BindLinkEngines(Link* link, int node_a, int node_b);
 
   Engine* engine_;
-  Engine* component_engine_ = nullptr;  // sticky wiring-time override
-  Tick min_cross_latency_ = kTickNever;
   std::uint64_t seed_;
   std::uint64_t link_counter_ = 0;
 

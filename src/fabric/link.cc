@@ -55,7 +55,6 @@ void LinkStats::BindTo(MetricGroup& group, const std::string& prefix) const {
 
 Link::Link(Engine* engine, const LinkConfig& config, std::uint64_t seed, std::string name)
     : engine_(engine),
-      side_eng_{engine, engine},
       config_(config),
       name_(std::move(name)),
       dir_rng_{Rng(seed), Rng(seed ^ 0x9E3779B97F4A7C15ULL)} {
@@ -182,7 +181,6 @@ void Link::TryTransmit(int side) {
   const Tick serialize = config_.SerializeTime();
   const std::uint64_t epoch = epoch_;
   const std::uint32_t max_burst = config_.max_burst_flits == 0 ? 1 : config_.max_burst_flits;
-  Engine* tx_eng = eng(side);  // everything sender-side stays on this engine
 
   dir.train.clear();
   while (vc >= 0) {
@@ -204,7 +202,7 @@ void Link::TryTransmit(int side) {
   // same-tick coincidences order exactly as per-flit service did. Everything
   // in flight dies if the link fails first.
   dir.wire_busy = true;
-  tx_eng->Schedule(serialize * dir.train.size(), [this, side, epoch] {
+  engine_->Schedule(serialize * dir.train.size(), [this, side, epoch] {
     if (epoch != epoch_) {
       return;
     }
@@ -213,7 +211,6 @@ void Link::TryTransmit(int side) {
     NotifyDrain(side);
   });
 
-  const bool cross = cross_engine();
   Tick offset = 0;
   for (auto& [flit, corrupted] : dir.train) {
     if (corrupted) {
@@ -221,60 +218,33 @@ void Link::TryTransmit(int side) {
       // the timeout. The consumed credit stays consumed (the receiver slot
       // is reserved for the replayed copy).
       ++dir.stats.replays;
-      tx_eng->Schedule(offset + serialize + config_.replay_timeout,
-                       [this, side, flit = std::move(flit), epoch] {
-                         if (epoch != epoch_) {
-                           return;
-                         }
-                         Direction& d = dirs_[side];
-                         // Replay bypasses the credit gate: the slot is
-                         // already reserved.
-                         d.tx_queues[static_cast<int>(flit.channel)].push_front(flit);
-                         ++d.credits[static_cast<int>(flit.channel)];
-                         --d.in_flight;  // back in the tx queue until retransmitted
-                         TryTransmit(side);
-                       });
-    } else if (!cross) {
-      tx_eng->Schedule(offset + serialize + config_.propagation,
-                       [this, side, flit = std::move(flit), epoch]() mutable {
-                         if (epoch != epoch_) {
-                           return;
-                         }
-                         Direction& dir2 = dirs_[side];
-                         --dir2.in_flight;
-                         ++dir2.stats.flits_delivered;
-                         dir2.stats.bytes_delivered += flit.payload_bytes;
-                         assert(dir2.receiver != nullptr && "link endpoint not bound");
-                         ++flit.hops;
-                         dir2.receiver->ReceiveFlit(flit, dir2.receiver_port);
-                       });
+      engine_->Schedule(offset + serialize + config_.replay_timeout,
+                        [this, side, flit = std::move(flit), epoch] {
+                          if (epoch != epoch_) {
+                            return;
+                          }
+                          Direction& d = dirs_[side];
+                          // Replay bypasses the credit gate: the slot is
+                          // already reserved.
+                          d.tx_queues[static_cast<int>(flit.channel)].push_front(flit);
+                          ++d.credits[static_cast<int>(flit.channel)];
+                          --d.in_flight;  // back in the tx queue until retransmitted
+                          TryTransmit(side);
+                        });
     } else {
-      // Domain boundary: split the delivery. The sender's accounting fires
-      // on the sender engine; the hand-off to the receiving component fires
-      // at the same tick on the receiver engine (routed through the
-      // cross-shard mailbox and merged in canonical order at the barrier —
-      // delivery takes >= serialize + propagation, which bounds the
-      // lookahead window, so the event always lands in a later window).
-      const Tick deliver_at = tx_eng->Now() + offset + serialize + config_.propagation;
-      tx_eng->ScheduleAt(deliver_at, [this, side, bytes = flit.payload_bytes, epoch] {
-        if (epoch != epoch_) {
-          return;
-        }
-        Direction& dir2 = dirs_[side];
-        --dir2.in_flight;
-        ++dir2.stats.flits_delivered;
-        dir2.stats.bytes_delivered += bytes;
-      });
-      eng(1 - side)->ScheduleAt(deliver_at, [this, side, flit = std::move(flit),
-                                             epoch]() mutable {
-        if (epoch != epoch_) {
-          return;
-        }
-        Direction& dir2 = dirs_[side];
-        assert(dir2.receiver != nullptr && "link endpoint not bound");
-        ++flit.hops;
-        dir2.receiver->ReceiveFlit(flit, dir2.receiver_port);
-      });
+      engine_->Schedule(offset + serialize + config_.propagation,
+                        [this, side, flit = std::move(flit), epoch]() mutable {
+                          if (epoch != epoch_) {
+                            return;
+                          }
+                          Direction& dir2 = dirs_[side];
+                          --dir2.in_flight;
+                          ++dir2.stats.flits_delivered;
+                          dir2.stats.bytes_delivered += flit.payload_bytes;
+                          assert(dir2.receiver != nullptr && "link endpoint not bound");
+                          ++flit.hops;
+                          dir2.receiver->ReceiveFlit(flit, dir2.receiver_port);
+                        });
     }
     offset += serialize;
   }
@@ -287,47 +257,22 @@ void Link::ReturnCredit(int receiver_side, Channel channel) {
   // into one scheduled flush (they'd all land at the same instant anyway),
   // at the first return's position in the tick's FIFO order.
   const int sender_side = 1 - receiver_side;
-  if (cross_engine()) {
-    // Domain boundary: the sender's credit pool belongs to the other
-    // shard, so the return rides the cross-shard mailbox as one event per
-    // credit (credit_return_latency >= the lookahead window, so it lands
-    // in a later window). No coalescing batch is kept on this side — the
-    // sender-side event is self-contained.
-    const std::uint64_t epoch = epoch_;
-    eng(sender_side)
-        ->ScheduleAt(eng(receiver_side)->Now() + config_.credit_return_latency,
-                     [this, sender_side, channel, epoch] {
-                       if (epoch != epoch_) {
-                         return;
-                       }
-                       Direction& d = dirs_[sender_side];
-                       auto& credits = d.credits[static_cast<int>(channel)];
-                       // Cap as below: a stale return across Fail/Recover
-                       // cannot mint slots beyond what the receiver has.
-                       if (credits < advertised_credits_) {
-                         ++credits;
-                       }
-                       TryTransmit(sender_side);
-                       NotifyDrain(sender_side);
-                     });
-    return;
-  }
   Direction& dir = dirs_[sender_side];
   auto& batches = dir.credit_returns[static_cast<int>(channel)];
-  const Tick due = eng(sender_side)->Now() + config_.credit_return_latency;
+  const Tick due = engine_->Now() + config_.credit_return_latency;
   if (!batches.empty() && batches.back().due == due) {
     ++batches.back().count;
     return;
   }
   batches.push_back({due, 1});
   const std::uint64_t epoch = epoch_;
-  eng(sender_side)->Schedule(config_.credit_return_latency, [this, sender_side, channel, epoch] {
+  engine_->Schedule(config_.credit_return_latency, [this, sender_side, channel, epoch] {
     if (epoch != epoch_) {
       return;
     }
     Direction& d = dirs_[sender_side];
     auto& bq = d.credit_returns[static_cast<int>(channel)];
-    assert(!bq.empty() && bq.front().due == eng(sender_side)->Now());
+    assert(!bq.empty() && bq.front().due == engine_->Now());
     d.credits[static_cast<int>(channel)] += bq.front().count;
     // A receiver that buffered a flit across a Fail/Recover cycle returns a
     // credit for a slot Recover() already re-advertised; cap the pool so a
@@ -342,13 +287,6 @@ void Link::ReturnCredit(int receiver_side, Channel channel) {
 }
 
 void Link::Fail() {
-  if (Engine::InShardedWindow()) {
-    // Failing a link mutates both directions and notifies components in
-    // both domains; from inside a running window that would race with the
-    // far shard. Re-run as a global barrier event at this same tick.
-    Engine::CurrentShard()->ScheduleGlobal(0, [this] { Fail(); });
-    return;
-  }
   if (failed_) {
     return;
   }
@@ -370,10 +308,6 @@ void Link::Fail() {
 }
 
 void Link::Recover() {
-  if (Engine::InShardedWindow()) {
-    Engine::CurrentShard()->ScheduleGlobal(0, [this] { Recover(); });
-    return;
-  }
   if (!failed_) {
     return;
   }

@@ -167,35 +167,11 @@ class Link {
   const LinkConfig& config() const { return config_; }
   const std::string& name() const { return name_; }
 
-  // Declares which engine drives the component on each side. Defaults to
-  // the constructor engine for both. When the sides differ this link is a
-  // fabric-domain boundary: flit deliveries and credit returns crossing it
-  // become cross-shard events, and MinCrossLatency() bounds the sharded
-  // engine's conservative lookahead. Call during wiring only.
-  void SetSideEngines(Engine* side0, Engine* side1) {
-    side_eng_[0] = side0 != nullptr ? side0 : engine_;
-    side_eng_[1] = side1 != nullptr ? side1 : engine_;
-  }
-  Engine* eng(int side) const { return side_eng_[side]; }
-  bool cross_engine() const { return side_eng_[0] != side_eng_[1]; }
-
-  // The minimum simulated delay this link imposes on any effect one side
-  // can have on the other: a flit delivery costs serialize + propagation; a
-  // credit return costs credit_return_latency.
-  Tick MinCrossLatency() const {
-    const Tick delivery = config_.SerializeTime() + config_.propagation;
-    return delivery < config_.credit_return_latency ? delivery : config_.credit_return_latency;
-  }
-
   // Failure injection: a failed link refuses new sends and silently drops
   // everything in flight (flits, pending credit returns) — the passive
   // failure behavior of §3 Difference #5 applied to the interconnect.
   // Recover() restores the wire with fresh credits; upper layers must
   // re-drive (or re-route around) whatever was lost.
-  //
-  // Both mutate the whole link (both directions, both attached components),
-  // so when called from inside a running sharded window they defer
-  // themselves to a global barrier event at the same tick.
   void Fail();
   void Recover();
   bool failed() const { return failed_; }
@@ -218,9 +194,7 @@ class Link {
   friend class LinkEndpoint;
 
   struct Direction {
-    // Sender-side state for one direction (side -> 1-side). On a
-    // cross-engine link everything here is touched only from the sender
-    // side's engine; the far end sees flits via events on its own engine.
+    // Sender-side state for one direction (side -> 1-side).
     std::array<std::deque<Flit>, kNumChannels> tx_queues;
     std::array<std::uint32_t, kNumChannels> credits{};
     std::uint32_t in_flight = 0;  // flits serialized/propagating/awaiting replay
@@ -252,12 +226,10 @@ class Link {
   int PickVc(const Direction& dir) const;
 
   Engine* engine_;
-  Engine* side_eng_[2];  // engine driving the component on each side
   LinkConfig config_;
   std::string name_;
-  // One error-injection stream per direction, so the flit sequence each
-  // sender sees is deterministic even when the two sides run on different
-  // shards (a shared stream would interleave by wall-clock schedule).
+  // One error-injection stream per direction: which flits a sender sees
+  // corrupted depends only on that direction's own traffic.
   Rng dir_rng_[2];
   bool failed_ = false;
   std::uint64_t epoch_ = 0;  // bumped on Fail so in-flight deliveries drop

@@ -330,8 +330,7 @@ CoherentDirectory::CoherentDirectory(Engine* engine, const CoherentConfig& confi
   stats_.BindTo(metrics_);
   audit_ = AuditScope(&engine_->audit(), "mem/coherent");
   // Every back-invalidation we ever sent is either acknowledged, written off
-  // by a deadline, or still outstanding in some entry's bi_waiting set. All
-  // state here is directory-local, so the check is shard-safe.
+  // by a deadline, or still outstanding in some entry's bi_waiting set.
   audit_.AddCheck("back_inval_acks_conserved", [this]() -> std::string {
     const std::uint64_t accounted =
         stats_.back_inval_acks + stats_.back_inval_timeouts + BiOutstanding();
@@ -352,15 +351,9 @@ CoherentDirectory::CoherentDirectory(Engine* engine, const CoherentConfig& confi
   // Every line resident in a port cache must be visible to the directory as
   // that port being the owner or a sharer of the block. The reverse is not
   // an invariant (eviction notices are in flight), but a port holding a line
-  // the directory does not attribute to it is a coherence leak. Port caches
-  // live on the hosts' engine; when the directory runs on a different shard
-  // (sharded cluster runs) the cross-shard peek would race, so the check
-  // degrades to a no-op there — plain-engine rigs keep it armed.
+  // the directory does not attribute to it is a coherence leak.
   audit_.AddCheck("sharers_conserved", [this]() -> std::string {
     for (const CoherentPort* p : ports_) {
-      if (p->engine_ != engine_) {
-        return "";
-      }
       for (std::uint64_t line : p->cache_.ValidLines()) {
         auto it = blocks_.find(line);
         const int h = p->host_index_;

@@ -5,9 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <utility>
-
-#include "src/sim/sharded_engine.h"
 
 namespace unifab {
 
@@ -33,18 +30,15 @@ std::uint64_t AuditCadenceFromEnv() {
 
 }  // namespace
 
-thread_local Engine* Engine::current_shard_ = nullptr;
-
-void Engine::RegisterEngineInstruments(MetricRegistry& registry, InvariantAuditor& auditor,
-                                       const std::string& prefix) {
-  registry.AddGaugeFn(prefix + "now_ns", [this] { return ToNs(now_); });
-  registry.AddCounterFn(prefix + "events_fired", [this] { return fired_; });
-  registry.AddCounterFn(prefix + "events_pending",
+Engine::Engine() : audit_cadence_(AuditCadenceFromEnv()) {
+  metrics_.AddGaugeFn("sim/engine/now_ns", [this] { return ToNs(now_); });
+  metrics_.AddCounterFn("sim/engine/events_fired", [this] { return fired_; });
+  metrics_.AddCounterFn("sim/engine/events_pending",
                         [this] { return static_cast<std::uint64_t>(queue_.Size()); });
-  registry.AddCounterFn(prefix + "late_schedules", [this] { return late_schedules_; });
+  metrics_.AddCounterFn("sim/engine/late_schedules", [this] { return late_schedules_; });
   // The queue's pooled-record accounting is the engine's own conservation
   // law; everything else registers through components' AuditScopes.
-  auditor.Register(prefix + "event_queue/record_conservation", [this]() -> std::string {
+  auditor_.Register("sim/engine/event_queue/record_conservation", [this]() -> std::string {
     const std::size_t allocated = queue_.AllocatedRecords();
     const std::size_t free_records = queue_.FreeRecords();
     const std::size_t live = queue_.Size();
@@ -57,7 +51,7 @@ void Engine::RegisterEngineInstruments(MetricRegistry& registry, InvariantAudito
   // A late schedule means a stale callback computed a firing time behind the
   // clock; the clamp in ScheduleAt keeps tick order intact but the intent
   // was wrong, so audited runs must fail.
-  auditor.Register(prefix + "late_schedules", [this]() -> std::string {
+  auditor_.Register("sim/engine/late_schedules", [this]() -> std::string {
     if (late_schedules_ != 0) {
       return std::to_string(late_schedules_) +
              " event(s) scheduled into the past (clamped to Now())";
@@ -66,24 +60,8 @@ void Engine::RegisterEngineInstruments(MetricRegistry& registry, InvariantAudito
   });
 }
 
-Engine::Engine() {
-  RegisterEngineInstruments(metrics_, auditor_, "sim/engine/");
-  audit_cadence_ = AuditCadenceFromEnv();
-}
-
-Engine::Engine(ShardedEngine* group, std::uint32_t shard_index, std::uint64_t rng_seed)
-    : group_(group), shard_index_(shard_index), rng_(rng_seed) {
-  const std::string prefix = "sim/engine/shard" + std::to_string(shard_index) + "/";
-  RegisterEngineInstruments(group->metrics(), group->audit(), prefix);
-  group->metrics().AddCounterFn(prefix + "cross_staged", [this] { return cross_seq_; });
-  group->metrics().AddCounterFn(prefix + "cross_cancels_refused",
-                                [this] { return cross_cancels_refused_; });
-  audit_cadence_ = AuditCadenceFromEnv();
-}
-
 Engine::~Engine() {
-  if (group_ != nullptr || !audit_enabled_ever_) {
-    // A shard's digest is folded into (and reported by) its group.
+  if (!audit_enabled_ever_) {
     return;
   }
   // stderr, not the metrics snapshot: golden BENCH_*.json stay bit-for-bit
@@ -92,30 +70,12 @@ Engine::~Engine() {
                digest_.value(), fired_);
 }
 
-MetricRegistry& Engine::metrics() { return group_ != nullptr ? group_->metrics() : metrics_; }
-const MetricRegistry& Engine::metrics() const {
-  return group_ != nullptr ? group_->metrics() : metrics_;
-}
-
-InvariantAuditor& Engine::audit() { return group_ != nullptr ? group_->audit() : auditor_; }
-const InvariantAuditor& Engine::audit() const {
-  return group_ != nullptr ? group_->audit() : auditor_;
-}
-
 void Engine::SetAuditCadence(std::uint64_t every_n_events) {
-  if (group_ != nullptr) {
-    group_->SetAuditCadence(every_n_events);
-    return;
-  }
   audit_cadence_ = every_n_events;
   events_since_audit_ = 0;
 }
 
 void Engine::AuditNow() {
-  if (group_ != nullptr) {
-    group_->AuditNow();
-    return;
-  }
   const auto violations = auditor_.Sweep();
   if (violations.empty()) {
     return;
@@ -144,37 +104,12 @@ void Engine::FireNext() {
     digest_.Fold(id);
     if (++events_since_audit_ >= audit_cadence_) {
       events_since_audit_ = 0;
-      if (group_ != nullptr && !group_solo_) {
-        // Sweeps read every domain's state; defer to the window barrier.
-        audit_requested_ = true;
-      } else {
-        AuditNow();
-      }
+      AuditNow();
     }
   }
 }
 
-std::size_t Engine::Run() { return group_ != nullptr ? group_->Run() : RunLocal(); }
-
-std::size_t Engine::RunUntil(Tick deadline) {
-  return group_ != nullptr ? group_->RunUntil(deadline) : RunUntilLocal(deadline);
-}
-
-std::size_t Engine::Step(std::size_t max_events) {
-  return group_ != nullptr ? group_->Step(max_events) : StepLocal(max_events);
-}
-
-bool Engine::Idle() const { return group_ != nullptr ? group_->Idle() : queue_.Empty(); }
-
-std::size_t Engine::PendingEvents() const {
-  return group_ != nullptr ? group_->PendingEvents() : queue_.Size();
-}
-
-std::uint64_t Engine::TotalFired() const {
-  return group_ != nullptr ? group_->TotalFired() : fired_;
-}
-
-std::size_t Engine::RunLocal() {
+std::size_t Engine::Run() {
   std::size_t n = 0;
   while (!queue_.Empty()) {
     FireNext();
@@ -183,7 +118,7 @@ std::size_t Engine::RunLocal() {
   return n;
 }
 
-std::size_t Engine::RunUntilLocal(Tick deadline) {
+std::size_t Engine::RunUntil(Tick deadline) {
   std::size_t n = 0;
   while (!queue_.Empty() && queue_.NextTime() <= deadline) {
     FireNext();
@@ -195,24 +130,12 @@ std::size_t Engine::RunUntilLocal(Tick deadline) {
   return n;
 }
 
-std::size_t Engine::StepLocal(std::size_t max_events) {
+std::size_t Engine::Step(std::size_t max_events) {
   std::size_t n = 0;
   while (n < max_events && !queue_.Empty()) {
     FireNext();
     ++n;
   }
-  return n;
-}
-
-std::size_t Engine::RunEventsUntilLocal(Tick deadline) {
-  Engine* prev = current_shard_;
-  current_shard_ = this;
-  std::size_t n = 0;
-  while (!queue_.Empty() && queue_.NextTime() <= deadline) {
-    FireNext();
-    ++n;
-  }
-  current_shard_ = prev;
   return n;
 }
 

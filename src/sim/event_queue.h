@@ -195,29 +195,6 @@ class EventQueue {
     return MakeId(r);
   }
 
-  // Inserts an already type-erased callback without re-wrapping it in a
-  // second EventCallback (which would spill to the heap: the wrapper is
-  // larger than its own inline buffer). This is the cross-shard mailbox
-  // delivery path, where callbacks arrive pre-erased from another shard's
-  // outbox.
-  EventId PushCallback(Tick when, EventCallback fn) {
-    Record* r = AllocRecord();
-    r->when = when;
-    r->fn = std::move(fn);
-    r->in_queue = true;
-    Bucket* b = FindOrCreateBucket(when);
-    r->prev = b->tail;
-    r->next = nullptr;
-    if (b->tail != nullptr) {
-      b->tail->next = r;
-    } else {
-      b->head = r;
-    }
-    b->tail = r;
-    ++live_;
-    return MakeId(r);
-  }
-
   // Cancels a scheduled event: the record is unlinked from its tick bucket
   // and recycled immediately. Returns false if the id is unknown, already
   // fired, or already cancelled.

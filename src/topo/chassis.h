@@ -37,9 +37,8 @@ class FamChassis {
   MemoryExpander* expander() { return expander_.get(); }
   DramDevice* dram() { return dram_.get(); }
   MessageDispatcher* dispatcher() { return dispatcher_.get(); }
-  // The engine this chassis's components run on (its own shard under
-  // shard-by-domain clustering; protocol agents homed here must schedule
-  // their local events on it).
+  // The engine this chassis's components run on; protocol agents homed
+  // here schedule their events on it.
   Engine* engine() { return engine_; }
   PbrId id() const { return fea_->id(); }
   const std::string& name() const { return name_; }

@@ -6,29 +6,13 @@
 
 namespace unifab {
 
-ShardedEngine::Options Cluster::ShardOptions(const ClusterConfig& config) {
-  ShardedEngine::Options options;
-  options.workers = config.shard_workers > 0
-                        ? static_cast<std::uint32_t>(config.shard_workers)
-                        : 0;  // 0 = UNIFAB_SHARDS from the environment
-  options.seed = config.seed;
-  return options;
-}
-
-Cluster::Cluster(const ClusterConfig& config)
-    : config_(config), sharded_(ShardOptions(config)) {
-  fabric_ = std::make_unique<FabricInterconnect>(&engine(), config.seed);
+Cluster::Cluster(const ClusterConfig& config) : config_(config) {
+  fabric_ = std::make_unique<FabricInterconnect>(&engine_, config.seed);
 
   if (config.num_pods > 1) {
     BuildPods();
   } else {
     BuildFlat();
-  }
-
-  // The minimum latency of any shard-boundary link is the conservative
-  // lookahead: no domain can affect another faster than that.
-  if (fabric_->MinCrossEngineLatency() != kTickNever) {
-    sharded_.SetLookahead(fabric_->MinCrossEngineLatency());
   }
 
   fabric_->ConfigureRouting();
@@ -51,23 +35,13 @@ Cluster::Cluster(const ClusterConfig& config)
 void Cluster::BuildFlat() {
   const ClusterConfig& config = config_;
 
-  // Fabric-domain shard assignment (DESIGN.md §6e): every switch island and
-  // every FAM chassis is its own domain with its own engine shard; hosts,
-  // FAA chassis, and the shared runtime objects built on top stay on the
-  // root shard (the iTask runtime invokes FAA accelerators directly, so
-  // they must share the runtime's shard). Cross-domain traffic only flows
-  // through links, whose latency bounds the lookahead window.
   for (int i = 0; i < config.num_switches; ++i) {
-    if (config.shard_by_domain) {
-      fabric_->SetComponentEngine(&sharded_.AddShard("sw" + std::to_string(i)));
-    }
     switches_.push_back(fabric_->AddSwitch(config.sw, "fs" + std::to_string(i)));
     if (i > 0) {
       fabric_->Connect(switches_[static_cast<std::size_t>(i - 1)],
                        switches_[static_cast<std::size_t>(i)], config.link);
     }
   }
-  fabric_->SetComponentEngine(nullptr);
 
   auto switch_for = [&](int idx) {
     return switches_[static_cast<std::size_t>(idx % config.num_switches)];
@@ -80,14 +54,8 @@ void Cluster::BuildFlat() {
     fabric_->Connect(switch_for(attach++), hosts_.back()->fha(), config.link);
   }
   for (int i = 0; i < config.num_fams; ++i) {
-    Engine* fam_engine = &engine();
-    if (config.shard_by_domain) {
-      fam_engine = &sharded_.AddShard("fam" + std::to_string(i));
-      fabric_->SetComponentEngine(fam_engine);
-    }
-    fams_.push_back(std::make_unique<FamChassis>(fam_engine, fabric_.get(), config.fam,
+    fams_.push_back(std::make_unique<FamChassis>(&engine(), fabric_.get(), config.fam,
                                                  "fam" + std::to_string(i)));
-    fabric_->SetComponentEngine(nullptr);
     fabric_->Connect(switch_for(attach++), fams_.back()->fea(), config.link);
   }
   for (int i = 0; i < config.num_faas; ++i) {
@@ -108,26 +76,18 @@ void Cluster::BuildPods() {
   }
   const PodConfig& pc = config.pod;
 
-  // Pod p is PBR domain p and (when sharding) engine shard "pod<p>",
-  // holding the pod's switches and FAM chassis. Hosts and FAA chassis stay
-  // on the root shard — the same split BuildFlat uses, so the runtime
-  // objects built on top keep working. Everything that leaves a pod rides
-  // the Ethernet bridges wired below.
+  // Pod p is PBR domain p, holding its own switches, hosts, FAM and FAA
+  // chassis. Everything that leaves a pod rides the Ethernet bridges wired
+  // below.
   for (int p = 0; p < num_pods; ++p) {
     const auto domain = static_cast<std::uint16_t>(p);
     const std::string prefix = "p" + std::to_string(p) + "/";
-    Engine* pod_engine = &engine();
-    if (config.shard_by_domain) {
-      pod_engine = &sharded_.AddShard("pod" + std::to_string(p));
-    }
 
     Pod pod;
     pod.index = p;
     std::vector<FabricSwitch*> pod_switches;
     for (int s = 0; s < pc.num_switches; ++s) {
-      fabric_->SetComponentEngine(config.shard_by_domain ? pod_engine : nullptr);
       FabricSwitch* sw = fabric_->AddSwitch(config.sw, prefix + "fs" + std::to_string(s), domain);
-      fabric_->SetComponentEngine(nullptr);
       if (s > 0) {
         fabric_->Connect(pod_switches.back(), sw, config.link);
       }
@@ -148,12 +108,9 @@ void Cluster::BuildPods() {
       fabric_->Connect(switch_for(attach++), hosts_.back()->fha(), config.link);
     }
     for (int f = 0; f < pc.num_fams; ++f) {
-      Engine* fam_engine = config.shard_by_domain ? pod_engine : &engine();
-      fabric_->SetComponentEngine(config.shard_by_domain ? pod_engine : nullptr);
       pod.fams.push_back(static_cast<int>(fams_.size()));
-      fams_.push_back(std::make_unique<FamChassis>(fam_engine, fabric_.get(), config.fam,
+      fams_.push_back(std::make_unique<FamChassis>(&engine(), fabric_.get(), config.fam,
                                                    prefix + "fam" + std::to_string(f), domain));
-      fabric_->SetComponentEngine(nullptr);
       fabric_->Connect(switch_for(attach++), fams_.back()->fea(), config.link);
     }
     for (int a = 0; a < pc.num_faas; ++a) {

@@ -38,27 +38,13 @@ struct ClusterConfig {
   std::uint64_t fam_base = 1ULL << 40;
   std::uint64_t fam_stride = 1ULL << 36;
 
-  // --- Sharded parallel simulation (DESIGN.md §6e) ----------------------
-
-  // Partition the simulation by fabric domain: each switch island and each
-  // FAM chassis gets its own engine shard; hosts, FAA chassis, and shared
-  // runtime objects stay on the root shard. The partition is part of the
-  // topology — it never depends on the worker-thread count, so RunDigests
-  // are bit-for-bit identical for any `shard_workers`. When false the whole
-  // cluster runs on the root shard (the pre-sharding behavior).
-  bool shard_by_domain = true;
-
-  // Worker threads executing shard windows; 0 = the UNIFAB_SHARDS
-  // environment variable (default 1).
-  int shard_workers = 0;
-
   // --- Hierarchical pod scale-out (DESIGN.md §11) -----------------------
 
   // >1 builds a cluster-of-clusters: `num_pods` identical pods (contents
   // from `pod`; the flat counts above are ignored), each pod its own PBR
-  // domain and DES shard, gateway switches joined by Ethernet bridges (one
-  // trunk for 2 pods, a ring for 3+ so reroute has a redundant path). The
-  // PBR id's 4-bit domain field caps this at 16 pods.
+  // domain, gateway switches joined by Ethernet bridges (one trunk for 2
+  // pods, a ring for 3+ so reroute has a redundant path). The PBR id's
+  // 4-bit domain field caps this at 16 pods.
   int num_pods = 1;
   PodConfig pod;
   BridgeConfig bridge;
@@ -75,9 +61,10 @@ class Cluster {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  // The root shard: external drivers schedule stimulus and run the whole
-  // simulation through it exactly as they did the old single engine.
-  Engine& engine() { return sharded_.root(); }
+  // The one engine every component of the cluster runs on: external
+  // drivers schedule stimulus and run the simulation through it.
+  Engine& engine() { return engine_; }
+  // A one-shard view of engine() for the benchmark driver only.
   ShardedEngine& sharded() { return sharded_; }
   FabricInterconnect& fabric() { return *fabric_; }
 
@@ -110,12 +97,12 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
 
  private:
-  static ShardedEngine::Options ShardOptions(const ClusterConfig& config);
   void BuildFlat();
   void BuildPods();
 
   ClusterConfig config_;
-  ShardedEngine sharded_;
+  Engine engine_;  // before the components: they unregister from it on teardown
+  ShardedEngine sharded_{&engine_};
   std::unique_ptr<FabricInterconnect> fabric_;
   std::vector<FabricSwitch*> switches_;  // owned by the interconnect
   std::vector<std::unique_ptr<HostServer>> hosts_;

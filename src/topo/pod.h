@@ -1,11 +1,11 @@
 // Pod: the cluster-of-clusters building block for hierarchical scale-out
 // (DESIGN.md §11, DFabric in PAPERS.md).
 //
-// A pod is one CXL island — its own PBR domain, its own DES shard —
-// containing hosts, FAM chassis, FAA chassis, and gateway/leaf switches.
-// Pods are joined by Ethernet BridgeLinks between their gateway switches:
-// a single trunk for two pods, a ring for three or more so routing has a
-// redundant inter-pod path to fail over to. `Cluster` builds pods when
+// A pod is one CXL island — its own PBR domain — containing hosts, FAM
+// chassis, FAA chassis, and gateway/leaf switches. Pods are joined by
+// Ethernet BridgeLinks between their gateway switches: a single trunk for
+// two pods, a ring for three or more so routing has a redundant inter-pod
+// path to fail over to. `Cluster` builds pods when
 // `ClusterConfig::num_pods > 1`; the flat accessors (host(i), fam(i), ...)
 // keep working over the concatenated per-pod component lists, so the
 // runtime stack needs no changes to span pods.

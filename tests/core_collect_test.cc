@@ -489,6 +489,29 @@ TEST_F(CollectEngineTest, MixedGroupWithHostAndFamCompletes) {
   ASSERT_TRUE(f.Ready());
   EXPECT_TRUE(f.Value().ok);
   ExpectAuditClean();
+  // The host at the gather root executes all three step transfers. Each
+  // FAA member initiates its own, delegating it to the host with one job
+  // message from its adapter. A FAM member has no collective agent: the
+  // fallback host agent initiates its transfer, so the FAM's adapter sends
+  // nothing and the FAM's agent runs no job.
+  EXPECT_EQ(runtime_.host_agent(0)->stats().jobs_executed, 3u);
+  EXPECT_EQ(cluster_.faa(0)->fea()->stats().messages_sent, 1u);
+  EXPECT_EQ(cluster_.faa(1)->fea()->stats().messages_sent, 1u);
+  EXPECT_EQ(cluster_.fam(0)->fea()->stats().messages_sent, 0u);
+  EXPECT_EQ(runtime_.fam_agent(0)->stats().jobs_executed, 0u);
+
+  // With the FAM listed first, a FAM agent that was a member would also ask
+  // the arbiter for the collective's bandwidth lease over the FAM's adapter.
+  CollectiveGroup fam_first;
+  fam_first.members.push_back(CollectiveMember{cluster_.fam(0)->id(), 2ULL << 20});
+  fam_first.members.push_back(CollectiveMember{cluster_.host(0)->id(), 2ULL << 20});
+  CollectiveFuture f2 = runtime_.collect()->Gather(fam_first, /*root=*/1, 16 * 1024);
+  cluster_.engine().Run();
+  ASSERT_TRUE(f2.Ready());
+  EXPECT_TRUE(f2.Value().ok);
+  EXPECT_EQ(runtime_.host_agent(0)->stats().jobs_executed, 4u);
+  EXPECT_EQ(cluster_.fam(0)->fea()->stats().messages_sent, 0u);
+  EXPECT_EQ(runtime_.fam_agent(0)->stats().jobs_executed, 0u);
 }
 
 TEST_F(CollectEngineTest, DegenerateSingleMemberCollectiveIsImmediatelyOk) {

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,7 +18,6 @@
 #include "src/mem/dram.h"
 #include "src/mem/expander.h"
 #include "src/sim/random.h"
-#include "src/sim/sharded_engine.h"
 #include "src/topo/faults.h"
 #include "src/topo/presets.h"
 
@@ -561,108 +559,6 @@ TEST_P(FaultCampaignFuzzTest, NoWedgedFuturesAndFlitsConserved) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultCampaignFuzzTest,
                          ::testing::Values(7u, 17u, 27u, 37u, 47u, 57u));
-
-// ------------------ Cross-shard cancel / record-reuse fuzz ----------------
-//
-// EventIds minted on one shard and cancelled from elsewhere must never
-// double-free a pooled event record: a cancel either removes a live event
-// exactly once (same shard, parked context) or returns false (already
-// fired, already cancelled, stale generation, or refused cross-shard from
-// inside a window). At quiescence every event fired XOR was cancelled, and
-// record conservation holds on every shard's queue.
-
-class ShardCancelFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(ShardCancelFuzzTest, CancelsNeverDoubleFreeAcrossShards) {
-  const std::uint64_t seed = GetParam();
-  SCOPED_TRACE("seed=" + std::to_string(seed));
-  Rng rng(seed);
-
-  constexpr Tick kLookahead = 1000;
-  ShardedEngine group;
-  group.AddShard("a");
-  group.AddShard("b");
-  group.SetLookahead(kLookahead);
-  group.SetAuditCadence(16);
-
-  struct Tracked {
-    EventId id = kInvalidEventId;
-    std::uint32_t shard = 0;
-    int fires = 0;
-    bool cancel_ok = false;
-  };
-  std::vector<Tracked> tracked;
-  tracked.reserve(512);
-  // Touched from events on different shards, which run concurrently when
-  // worker threads are enabled (UNIFAB_SHARDS > 1).
-  std::atomic<std::uint64_t> refused_in_window{0};
-  std::atomic<std::uint64_t> cross_hops{0};
-
-  Tick horizon = 0;
-  for (int round = 0; round < 25; ++round) {
-    // Mint events from the parked context (real ids, random shards).
-    const int mint = static_cast<int>(rng.NextInRange(2, 6));
-    for (int i = 0; i < mint; ++i) {
-      const auto s = static_cast<std::uint32_t>(rng.NextBelow(3));
-      const std::size_t idx = tracked.size();
-      tracked.push_back(Tracked{kInvalidEventId, s, 0, false});
-      tracked[idx].id = group.shard(s).ScheduleAt(
-          horizon + rng.NextInRange(1, 2500),
-          [&tracked, idx] { ++tracked[idx].fires; });
-      ASSERT_NE(tracked[idx].id, kInvalidEventId);
-    }
-    // Cross-shard chatter keeps real mailbox traffic in the mix.
-    if (rng.NextBool(0.7)) {
-      const auto s = static_cast<std::uint32_t>(rng.NextBelow(3));
-      group.shard(s).ScheduleAt(horizon + rng.NextInRange(1, 500),
-                                [&group, &cross_hops, s] {
-                                  group.shard((s + 1) % 3).Schedule(
-                                      kLookahead + 1, [&cross_hops] { ++cross_hops; });
-                                });
-    }
-    // Cross-shard cancels from inside a running window: always refused.
-    if (!tracked.empty() && rng.NextBool(0.6)) {
-      const std::size_t idx = rng.NextBelow(tracked.size());
-      const auto attacker = (tracked[idx].shard + 1) % 3;
-      group.shard(attacker).ScheduleAt(
-          horizon + rng.NextInRange(1, 2500),
-          [&group, &tracked, &refused_in_window, idx] {
-            const Tracked& t = tracked[idx];
-            EXPECT_FALSE(group.shard(t.shard).Cancel(t.id));
-            ++refused_in_window;
-          });
-    }
-    // Parked-context cancels: succeed iff the event is still live.
-    const int cancels = static_cast<int>(rng.NextBelow(4));
-    for (int i = 0; i < cancels && !tracked.empty(); ++i) {
-      Tracked& t = tracked[rng.NextBelow(tracked.size())];
-      const bool ok = group.shard(t.shard).Cancel(t.id);
-      if (ok) {
-        EXPECT_EQ(t.fires, 0);
-        EXPECT_FALSE(t.cancel_ok) << "record freed twice";
-        t.cancel_ok = true;
-      } else {
-        EXPECT_TRUE(t.fires > 0 || t.cancel_ok);
-      }
-    }
-    horizon += rng.NextInRange(500, 3000);
-    group.RunUntil(horizon);
-  }
-  group.Run();
-
-  for (const Tracked& t : tracked) {
-    EXPECT_LE(t.fires, 1);
-    EXPECT_NE(t.fires == 1, t.cancel_ok) << "event neither fired nor cancelled";
-    // Stale ids stay dead even after their records were recycled.
-    EXPECT_FALSE(group.shard(t.shard).Cancel(t.id));
-  }
-  EXPECT_GT(cross_hops.load(), 0u);
-  EXPECT_GT(refused_in_window.load(), 0u);
-  EXPECT_TRUE(group.audit().Sweep().empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardCancelFuzzTest,
-                         ::testing::Values(3u, 13u, 23u, 33u, 43u));
 
 }  // namespace
 }  // namespace unifab

@@ -113,6 +113,33 @@ TEST(EngineTest, TotalFiredCounts) {
   EXPECT_EQ(e.TotalFired(), 7u);
 }
 
+TEST(EngineTest, LateScheduleClampsToNowAndFlagsAuditor) {
+  Engine engine;
+  Tick fired_at = 0;
+  engine.Schedule(1000, [&engine, &fired_at] {
+    // A stale callback computing an absolute time from cached state lands
+    // behind the clock; the engine must clamp instead of corrupting tick
+    // order (and must never fire the event "in the past").
+    engine.ScheduleAt(250, [&engine, &fired_at] { fired_at = engine.Now(); });
+  });
+  engine.Run();
+
+  EXPECT_EQ(fired_at, Tick{1000});
+  EXPECT_EQ(engine.late_schedules(), 1u);
+
+  const auto violations = engine.audit().Sweep();
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].path, "sim/engine/late_schedules");
+}
+
+TEST(EngineTest, OnTimeSchedulesDoNotTripTheLateCounter) {
+  Engine engine;
+  engine.Schedule(10, [&engine] { engine.ScheduleAt(engine.Now(), [] {}); });
+  engine.Run();
+  EXPECT_EQ(engine.late_schedules(), 0u);
+  EXPECT_TRUE(engine.audit().Sweep().empty());
+}
+
 TEST(EventQueueTest, EmptyAfterCancellingEverything) {
   EventQueue q;
   const EventId a = q.Push(5, [] {});
